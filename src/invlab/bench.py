@@ -112,7 +112,8 @@ def run_row(row: dict, deterministic: bool = False) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        fas = fas_exact(D) if D.n <= 20 else None
+        # only the fas-based rows state their bound in terms of fas(D)
+        fas = fas_exact(D) if strategy in ("fas", "2fas") and D.n <= 20 else None
         if strategy == "fas":
             family = decycle_via_fas(D, p, PAIRWISE, fas=fas)
             bound = (2 * p - 2) * (fas.size + 1) if fas else None

@@ -27,6 +27,7 @@ from .graphs import (
     invert,
     is_acyclic,
 )
+from .pairspace import minimize_family
 
 PAIRWISE = "pairwise"
 CYCLE_FIRST = "cycle-first"
@@ -297,14 +298,6 @@ def _check_pipeline_args(D: OrientedGraph, p: int) -> None:
         raise UnsupportedRangeError(f"need n >= p + 2 (got n={D.n}, p={p})")
 
 
-def _minimized(D: OrientedGraph, family: InversionFamily) -> InversionFamily:
-    """Shrink a pipeline output to an equivalent subfamily of at most |A(D)|
-    members; this is what keeps every emitted count under the arc bound."""
-    from .pairspace import minimize_family
-
-    return minimize_family(D, family)
-
-
 def decycle_via_fas(
     D: OrientedGraph,
     p: int,
@@ -331,7 +324,9 @@ def decycle_via_fas(
             diff.add(extra)
     family = reverse_arc_set(D, diff, p, strategy, trace)
     assert len(family) <= (2 * p - 2) * (chosen.size + 1)
-    family = _minimized(D, family)
+    # an equivalent subfamily of at most |A(D)| members; this is what keeps
+    # every emitted count under the arc bound
+    family = minimize_family(D, family)
     assert is_acyclic(apply_family(D, family))
     return family
 
@@ -403,7 +398,9 @@ def decycle_dense(
     rest = decycle_via_fas(
         reduction.reduced, p, strategy, exact_limit=exact_limit, trace=trace
     )
-    family = _minimized(D, InversionFamily(reduction.family.sets + rest.sets, p, EXACT))
+    family = minimize_family(
+        D, InversionFamily(reduction.family.sets + rest.sets, p, EXACT)
+    )
     assert is_acyclic(apply_family(D, family))
     return family
 
@@ -500,7 +497,7 @@ def decycle_opt_dense(
     peel, _residual = biclique_peel(D.n, fas.arcs, p, caps)
     D1 = apply_family(D, peel)
     rest = decycle_via_fas(D1, p, PAIRWISE, exact_limit=exact_limit, trace=trace)
-    family = _minimized(D, InversionFamily(peel.sets + rest.sets, p, EXACT))
+    family = minimize_family(D, InversionFamily(peel.sets + rest.sets, p, EXACT))
     assert is_acyclic(apply_family(D, family))
     return family
 

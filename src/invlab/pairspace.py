@@ -16,9 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError, UnsupportedRangeError
-from .graphs import InversionFamily, OrientedGraph, is_tournament
-
-EXACT = "eq"
+from .graphs import EXACT, InversionFamily, OrientedGraph, is_tournament
 
 
 def pair_index(i: int, j: int) -> int:
@@ -211,33 +209,42 @@ def span_witness_bruteforce(
     return witness
 
 
-def _restrict(X: frozenset[int], edge_index: dict[tuple[int, int], int]) -> int:
-    bits = 0
-    for (a, b), idx in edge_index.items():
-        if a in X and b in X:
-            bits |= 1 << idx
-    return bits
-
-
 def minimize_family(D1: OrientedGraph, family: InversionFamily) -> InversionFamily:
     """Drop zero-effect subfamilies until the restrictions to E(UG(D1)) are
     linearly independent; the result is a subfamily with identical net effect
-    and at most |E(UG(D1))| members."""
+    and at most |E(UG(D1))| members.
+
+    One pass: a restriction that depends on the kept members before it is
+    dropped with its combo, unique because those members are independent,
+    and the basis is downdated rather than rebuilt; so the output equals
+    restarting the elimination after every dependency.
+    """
     family.validate(D1.n)
     edges = D1.underlying_pairs()
-    edge_index = {e: i for i, e in enumerate(edges)}
-    sets = list(family.sets)
-    while True:
-        pivots: dict[int, tuple[int, int]] = {}
-        dependent = None
-        for i, X in enumerate(sets):
-            vec, combo, pos = _reduce(_restrict(X, edge_index), 1 << i, pivots)
-            if vec == 0:
-                dependent = combo
-                break
+    edge_mask = PairVector.from_pairs(D1.n, edges).bits
+    sets = family.sets
+    pivots: dict[int, tuple[int, int]] = {}
+    dropped = 0
+    for i, X in enumerate(sets):
+        restricted = encode_set(X, D1.n).bits & edge_mask
+        vec, combo, pos = _reduce(restricted, 1 << i, pivots)
+        if vec:
             pivots[pos] = (vec, combo)
-        if dependent is None:
-            break
-        sets = [X for i, X in enumerate(sets) if not dependent >> i & 1]
-    assert len(sets) <= len(edges)
-    return InversionFamily(tuple(sets), family.p, family.mode)
+            continue
+        dropped |= combo
+        combo ^= 1 << i
+        while combo:
+            k = combo & -combo
+            combo ^= k
+            # eliminate member k from the basis; XORing in the row with the
+            # highest pivot leaves every other row's lowest bit in place
+            rows = [q for q, (_, c) in pivots.items() if c & k]
+            top = max(rows)
+            tv, tc = pivots.pop(top)
+            for q in rows:
+                if q != top:
+                    v, c = pivots[q]
+                    pivots[q] = (v ^ tv, c ^ tc)
+    kept = tuple(X for i, X in enumerate(sets) if not dropped >> i & 1)
+    assert len(kept) <= len(edges)
+    return InversionFamily(kept, family.p, family.mode)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tournaments
+from conftest import oriented_graphs, tournaments
+from invlab.decycle import decycle_via_fas
 from invlab.errors import CapacityError, InputError, UnsupportedRangeError
-from invlab.graphs import AT_MOST, InversionFamily, apply_family, invert
+from invlab.graphs import AT_MOST, EXACT, InversionFamily, apply_family, invert
 from invlab.generate import random_oriented_graph, random_tournament, transitive_tournament
 from invlab.pairspace import (
     PairVector,
@@ -282,3 +283,70 @@ class TestMinimizeFamily:
             remaining = list(out.sets)
             for X in remaining:  # multiset inclusion
                 assert X in sets
+
+
+def _reference_minimize(D1, family):
+    """The restart-after-every-dependency elimination over edge indices that
+    minimize_family must reproduce exactly."""
+    edge_index = {e: i for i, e in enumerate(D1.underlying_pairs())}
+    sets = list(family.sets)
+    while True:
+        pivots = {}
+        dependent = None
+        for i, X in enumerate(sets):
+            vec = 0
+            for (a, b), idx in edge_index.items():
+                if a in X and b in X:
+                    vec |= 1 << idx
+            combo = 1 << i
+            while vec:
+                pos = (vec & -vec).bit_length() - 1
+                if pos not in pivots:
+                    break
+                vec ^= pivots[pos][0]
+                combo ^= pivots[pos][1]
+            if vec == 0:
+                dependent = combo
+                break
+            pivots[pos] = (vec, combo)
+        if dependent is None:
+            break
+        sets = [X for i, X in enumerate(sets) if not dependent >> i & 1]
+    return InversionFamily(tuple(sets), family.p, family.mode)
+
+
+@st.composite
+def graphs_with_families(draw):
+    """Families with repeated sets and sets without an underlying edge."""
+    D = draw(oriented_graphs(min_n=1, max_n=9))
+    mode = draw(st.sampled_from([EXACT, AT_MOST]))
+    p = draw(st.integers(min_value=0, max_value=min(D.n, 5)))
+    size = st.just(p) if mode == EXACT else st.integers(min_value=0, max_value=p)
+    subset = size.flatmap(
+        lambda k: st.lists(
+            st.integers(min_value=0, max_value=D.n - 1),
+            min_size=k, max_size=k, unique=True,
+        )
+    ).map(frozenset)
+    pool = draw(st.lists(subset, min_size=1, max_size=5))
+    sets = draw(st.lists(st.one_of(st.sampled_from(pool), subset), max_size=40))
+    return D, InversionFamily(tuple(sets), p, mode)
+
+
+class TestMinimizeMatchesReference:
+    @given(graphs_with_families())
+    @settings(max_examples=300, deadline=None)
+    def test_random_families(self, case):
+        D, fam = case
+        assert minimize_family(D, fam).sets == _reference_minimize(D, fam).sets
+
+    def test_pipeline_family_before_minimization(self):
+        # the gadget sets of a p=4 pipeline at n=30: hundreds of duplicate
+        # pairs and some 8-member combos, each dependency forcing a downdate
+        D = random_tournament(30, 4)
+        plans = []
+        decycle_via_fas(D, 4, trace=plans)
+        fam = InversionFamily(tuple(X for plan in plans for X in plan.sets), 4, EXACT)
+        out = minimize_family(D, fam)
+        assert out.sets == _reference_minimize(D, fam).sets
+        assert len(out) < len(fam) // 2

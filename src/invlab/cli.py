@@ -7,6 +7,7 @@ Exit codes: 0 success or "true", 1 "false", 2 unsupported parameter range,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -73,6 +74,7 @@ def _read_graph(path: str) -> OrientedGraph:
     return graph_from_json(_read_text(path))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="invlab", description="sized-inversion laboratory")
     sub = parser.add_subparsers(dest="verb")
@@ -191,8 +193,10 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.verb == "kernelize":
         T = _read_graph(args.input)
-        num, _, den = args.eps.partition("/")
-        eps = Fraction(int(num), int(den) if den else 1)
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"--eps {args.eps!r} is not a rational: {exc}") from exc
         cfg = KernelConfig(p=args.p, k=args.k, eps=eps)
         result = kernelize(T, cfg)
         log = [

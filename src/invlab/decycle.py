@@ -9,6 +9,7 @@ exist for odd p.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -162,44 +163,78 @@ def _pair_of(arc: tuple[int, int]) -> tuple[int, int]:
     return (min(arc), max(arc))
 
 
+def _shortest_path(
+    adj: dict[int, list[int]], a: int, b: int
+) -> Optional[list[int]]:
+    """BFS path b, ..., a from a to b that avoids the edge ab itself, scanning
+    neighbours in ascending order; None when a and b are disconnected."""
+    prev = {a: a}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in prev or (x == a and y == b):
+                    continue
+                prev[y] = x
+                if y == b:
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(prev[path[-1]])
+                    return path
+                nxt.append(y)
+        frontier = nxt
+    return None
+
+
 def _greedy_even_cycles(
     pairs: set[tuple[int, int]]
 ) -> tuple[list[list[int]], set[tuple[int, int]]]:
-    """Peel shortest even cycles out of an undirected edge set, greedily."""
-    cycles = []
+    """Peel shortest even cycles out of an undirected edge set, greedily.
+
+    Each round takes the edge ab whose shortest a-b path (avoiding ab) has an
+    odd number of edges, so that it closes the shortest even cycle; ties go to
+    the smallest edge.  Removing edges never shortens a path, so a heap of
+    (lower bound, edge) needs to recompute only the popped edge.  An edge
+    whose path is odd is parked until an accepted cycle cuts that path: while
+    the path is intact its length, and so its parity, cannot change.
+    """
     remaining = set(pairs)
-    while True:
-        best: Optional[list[int]] = None
-        adj: dict[int, set[int]] = {}
-        for a, b in remaining:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        for a, b in sorted(remaining):
-            # shortest a-b path avoiding the edge itself; odd length gives an even cycle
-            prev = {a: a}
-            frontier = [a]
-            while frontier and b not in prev:
-                nxt = []
-                for x in frontier:
-                    for y in sorted(adj.get(x, ())):
-                        if (min(x, y), max(x, y)) == (a, b):
-                            continue
-                        if y not in prev:
-                            prev[y] = x
-                            nxt.append(y)
-                frontier = nxt
-            if b not in prev:
-                continue
-            path = [b]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            if len(path) % 2 == 0 and (best is None or len(path) < len(best)):
-                best = path
-        if best is None:
-            return cycles, remaining
-        cycles.append(best)
-        for x, y in zip(best, best[1:] + best[:1]):
-            remaining.discard((min(x, y), max(x, y)))
+    adj: dict[int, list[int]] = {}
+    for a, b in sorted(remaining):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    heap = [(0, e) for e in sorted(remaining)]  # a sorted list is a heap
+    parked: dict[tuple[int, int], tuple[int, set[tuple[int, int]]]] = {}
+    watchers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    cycles = []
+    while heap:
+        bound, e = heapq.heappop(heap)
+        if e not in remaining:
+            continue
+        path = _shortest_path(adj, *e)
+        if path is None:
+            continue
+        if len(path) % 2:
+            edges = {_pair_of(f) for f in zip(path, path[1:])}
+            parked[e] = (len(path) + 1, edges)
+            for f in edges:
+                watchers.setdefault(f, []).append(e)
+        elif len(path) > bound:
+            heapq.heappush(heap, (len(path), e))
+        else:
+            cycles.append(path)
+            for x, y in zip(path, path[1:] + path[:1]):
+                f = _pair_of((x, y))
+                remaining.discard(f)
+                adj[x].remove(y)
+                adj[y].remove(x)
+                for g in watchers.pop(f, ()):
+                    if g in parked and f in parked[g][1]:
+                        heapq.heappush(heap, (parked.pop(g)[0], g))
+    return cycles, remaining
 
 
 def reverse_arc_set(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, InputError, ModeError
@@ -315,37 +316,34 @@ def fas_exact(D: OrientedGraph, limit: int = FAS_EXACT_DEFAULT_LIMIT) -> FasResu
     return FasResult(dp[full], arcs, ordering, True)
 
 
-def _insertion_pass(D: OrientedGraph, order: list[int]) -> bool:
-    """One best-insertion sweep; returns True when some move improved the count."""
-    improved = False
-    for v in range(D.n):
-        i = order.index(v)
-        others = order[:i] + order[i + 1:]
-        # b(j) = backward arcs at v when v occupies slot j among the others
-        b = sum(1 for w in others if D.has_arc(w, v))
-        best_j, best_b, cur = 0, b, None
-        for j in range(len(others) + 1):
-            if j == i:
-                cur = b
-            if b < best_b:
-                best_b, best_j = b, j
-            if j < len(others):
-                w = others[j]
-                b += (1 if D.has_arc(v, w) else 0) - (1 if D.has_arc(w, v) else 0)
-        assert cur is not None
-        if best_b < cur:
-            others.insert(best_j, v)
-            order[:] = others
-            improved = True
-    return improved
-
-
 def fas_heuristic(D: OrientedGraph) -> FasResult:
     """Feedback arc set from ordering local search (single-vertex moves, which
-    subsume adjacent swaps, iterated to a fixpoint).  No optimality claim."""
-    order = sorted(range(D.n), key=lambda v: (-D.out_degree(v), v))
-    while _insertion_pass(D, order):
-        pass
+    subsume adjacent swaps, iterated to a fixpoint).  No optimality claim.
+
+    Each sweep moves every vertex v in turn to the first slot that minimises
+    its backward arcs, when that is strictly fewer than where it stands.
+    """
+    n = D.n
+    ins = D.in_masks()
+    indeg = [m.bit_count() for m in ins]
+    # sign[v][w]: +1 for v->w, -1 for w->v, 0 for a non-edge
+    sign = [
+        [(D.out[v] >> w & 1) - (ins[v] >> w & 1) for w in range(n)] for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: (-D.out_degree(v), v))
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            i = order.index(v)
+            others = order[:i] + order[i + 1:]
+            # b[j] = backward arcs at v when v occupies slot j among the others
+            b = list(accumulate(map(sign[v].__getitem__, others), initial=indeg[v]))
+            best = min(b)
+            if best < b[i]:
+                others.insert(b.index(best), v)
+                order = others
+                improved = True
     arcs = tuple(backward_arcs(D, order))
     return FasResult(len(arcs), arcs, tuple(order), False)
 

@@ -37,7 +37,12 @@ _ORDERING_ENUM_LIMIT = 9
 
 def default_cap_bits() -> int:
     env = os.environ.get("INVLAB_CAP_BITS")
-    return int(env) if env else DEFAULT_CAP_BITS
+    if not env:
+        return DEFAULT_CAP_BITS
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"INVLAB_CAP_BITS={env!r} is not an integer") from None
 
 
 def _check_state_bits(m: int, cap: int) -> None:

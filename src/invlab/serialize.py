@@ -29,14 +29,15 @@ def graph_from_dict(data: Any) -> OrientedGraph:
         raise InputError("graph JSON needs keys 'n' and 'arcs'")
     n = data["n"]
     arcs = data["arcs"]
-    if not isinstance(n, int) or not isinstance(arcs, list):
+    # `type(x) is int` also rejects bool, an int subclass: true is not a vertex
+    if type(n) is not int or not isinstance(arcs, list):
         raise InputError("graph JSON types: n int, arcs list")
     pairs = []
     for item in arcs:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise InputError(f"bad arc entry {item!r}")
         u, v = item
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise InputError(f"bad arc entry {item!r}")
         pairs.append((u, v))
     return OrientedGraph.from_arcs(n, pairs)
@@ -64,8 +65,15 @@ def family_to_dict(family: InversionFamily) -> dict:
 def family_from_dict(data: Any) -> InversionFamily:
     if not isinstance(data, dict) or not {"mode", "p", "sets"} <= set(data):
         raise InputError("family JSON needs keys 'mode', 'p' and 'sets'")
-    sets = tuple(frozenset(X) for X in data["sets"])
-    fam = InversionFamily(sets, data["p"], data["mode"])
+    sets = data["sets"]
+    if not isinstance(sets, list) or not all(isinstance(X, list) for X in sets):
+        raise InputError("family JSON 'sets' must be a list of lists")
+    for X in sets:
+        if not all(type(v) is int for v in X):
+            raise InputError(f"bad family set {X!r}: members must be integers")
+    if type(data["p"]) is not int:
+        raise InputError(f"family p {data['p']!r} must be an integer")
+    fam = InversionFamily(tuple(frozenset(X) for X in sets), data["p"], data["mode"])
     if fam.mode not in ("eq", "leq"):
         raise InputError(f"unknown family mode {fam.mode!r}")
     return fam

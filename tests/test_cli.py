@@ -207,6 +207,64 @@ class TestCliVerbs:
         assert runs[0] == runs[1]
 
 
+class TestCliMalformedInput:
+    @pytest.mark.parametrize("eps", ["1/0", "abc", "1/2/3"])
+    def test_bad_eps_is_usage_error(self, tmp_path, capsys, eps):
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(transitive_tournament(6)))
+        code, _, err = run_cli(
+            capsys, "kernelize", "--p", "3", "--k", "1", "--eps", eps, str(g)
+        )
+        assert code == 64 and "--eps" in err and "Traceback" not in err
+
+    def test_bad_cap_bits_env(self, tmp_path, capsys, monkeypatch):
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(random_tournament(4, 1)))
+        monkeypatch.setenv("INVLAB_CAP_BITS", "x")
+        code, _, err = run_cli(capsys, "exact", "--p", "3", str(g))
+        assert code == 4 and "INVLAB_CAP_BITS" in err
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": True, "arcs": []},
+            {"n": 3, "arcs": [[True, 2]]},
+            {"n": 3, "arcs": [[0, True]]},
+        ],
+    )
+    def test_bool_graph_fields_rejected(self, tmp_path, capsys, graph):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        code, _, err = run_cli(capsys, "decide-invertible", "--p", "3", str(g))
+        assert code == 4 and "input error" in err
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [["a", 1, 2, 3]],
+            [[True, 1, 2, 3]],
+            [[0.5, 1, 2, 3]],
+            [[0, 1, 2, 3], 7],
+            [{"0": 1}],
+            "0123",
+            {"0": [0, 1, 2, 3]},
+        ],
+    )
+    def test_malformed_family_sets_rejected(self, tmp_path, capsys, sets):
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(random_tournament(6, 1)))
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"mode": "eq", "p": 4, "sets": sets}))
+        code, _, err = run_cli(
+            capsys, "verify", "--p", "4", "--graph", str(g), "--family", str(fam)
+        )
+        assert code == 4 and "input error" in err
+
+    def test_bool_family_p_rejected(self):
+        with pytest.raises(InputError):
+            family_from_json('{"mode": "eq", "p": true, "sets": []}')
+
+
 class TestBench:
     def test_empty_spec(self):
         assert bench_mod.bench_suite([]) == []

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab.decycle import (
     CYCLE_FIRST,
+    _greedy_even_cycles,
     NARROW,
     PAIRWISE,
     WIDE,
@@ -31,6 +34,7 @@ from invlab.graphs import (
     apply_family,
     backward_arcs,
     fas_exact,
+    fas_heuristic,
     invert,
     is_acyclic,
 )
@@ -244,6 +248,76 @@ class TestReverseArcSet:
             for strategy in (PAIRWISE, CYCLE_FIRST):
                 fam = reverse_arc_set(D, take, 4, strategy)
                 assert flipped_arcs(D, fam.sets, 4) == sorted(take)
+
+
+def _reference_greedy_even_cycles(pairs):
+    """The peeler that re-runs a BFS from every remaining edge in every
+    round; _greedy_even_cycles must reproduce it exactly."""
+    cycles = []
+    remaining = set(pairs)
+    while True:
+        best = None
+        adj = {}
+        for a, b in remaining:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        for a, b in sorted(remaining):
+            prev = {a: a}
+            frontier = [a]
+            while frontier and b not in prev:
+                nxt = []
+                for x in frontier:
+                    for y in sorted(adj.get(x, ())):
+                        if (min(x, y), max(x, y)) == (a, b):
+                            continue
+                        if y not in prev:
+                            prev[y] = x
+                            nxt.append(y)
+                frontier = nxt
+            if b not in prev:
+                continue
+            path = [b]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            if len(path) % 2 == 0 and (best is None or len(path) < len(best)):
+                best = path
+        if best is None:
+            return cycles, remaining
+        cycles.append(best)
+        for x, y in zip(best, best[1:] + best[:1]):
+            remaining.discard((min(x, y), max(x, y)))
+
+
+@st.composite
+def edge_sets(draw):
+    """Undirected edge sets on 4-14 vertices, from sparse to complete."""
+    n = draw(st.integers(min_value=4, max_value=14))
+    density = draw(st.integers(min_value=1, max_value=4))
+    return {
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if draw(st.integers(min_value=0, max_value=3)) < density
+    }
+
+
+class TestGreedyEvenCyclesMatchesReference:
+    @given(edge_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_random_edge_sets(self, pairs):
+        assert _greedy_even_cycles(pairs) == _reference_greedy_even_cycles(pairs)
+
+    def test_pipeline_fas_pair_sets(self):
+        # the pair sets cycle-first peels in decycle_via_fas at n > 20
+        for n in range(24, 41, 4):
+            for seed in range(3):
+                for D in (
+                    random_oriented_graph(n, 0.4 + 0.2 * seed, seed),
+                    random_tournament(n, seed),
+                ):
+                    pairs = {(min(a), max(a)) for a in fas_heuristic(D).arcs}
+                    got = _greedy_even_cycles(pairs)
+                    assert got == _reference_greedy_even_cycles(pairs)
 
 
 class TestDecycleViaFas:

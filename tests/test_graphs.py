@@ -33,6 +33,7 @@ from invlab.graphs import (
 from invlab.generate import (
     directed_cycle,
     diregular_tournament,
+    random_oriented_graph,
     random_tournament,
     transitive_tournament,
 )
@@ -197,6 +198,52 @@ class TestFasHeuristic:
                 D.n, [a for a in D.arcs() if a not in set(heur.arcs)]
             )
             assert is_acyclic(stripped)
+
+
+def _reference_fas_heuristic(D):
+    """The has_arc insertion-pass local search that fas_heuristic must
+    reproduce exactly: same start order, move order and strict-improvement
+    rule."""
+    order = sorted(range(D.n), key=lambda v: (-D.out_degree(v), v))
+    improved = True
+    while improved:
+        improved = False
+        for v in range(D.n):
+            i = order.index(v)
+            others = order[:i] + order[i + 1:]
+            b = sum(1 for w in others if D.has_arc(w, v))
+            best_j, best_b, cur = 0, b, None
+            for j in range(len(others) + 1):
+                if j == i:
+                    cur = b
+                if b < best_b:
+                    best_b, best_j = b, j
+                if j < len(others):
+                    w = others[j]
+                    b += (1 if D.has_arc(v, w) else 0) - (1 if D.has_arc(w, v) else 0)
+            if best_b < cur:
+                others.insert(best_j, v)
+                order = others
+                improved = True
+    return tuple(order)
+
+
+class TestFasHeuristicMatchesReference:
+    @given(oriented_graphs(min_n=0, max_n=30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, D):
+        heur = fas_heuristic(D)
+        assert heur.ordering == _reference_fas_heuristic(D)
+        assert heur.arcs == tuple(backward_arcs(D, heur.ordering))
+
+    def test_pipeline_scale(self):
+        for n in range(24, 41):
+            for seed in range(6):
+                for D in (
+                    random_oriented_graph(n, 0.4 + 0.1 * seed, seed),
+                    random_tournament(n, seed),
+                ):
+                    assert fas_heuristic(D).ordering == _reference_fas_heuristic(D)
 
 
 class TestDegrees:

@@ -9,16 +9,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InputError, UnsupportedRangeError
 from .graphs import (
+    ACYCLIC_CHUNK,
     OrientedGraph,
     UndirectedGraph,
+    acyclic_columns,
     complement_of_underlying,
     complete_low_to_high,
     is_acyclic,
     is_tournament,
     out_even_count,
-    push,
 )
 from .pairspace import encode_tournament, signatures_equal
 
@@ -187,15 +190,34 @@ def pushable_bruteforce(
     D: OrientedGraph, limit: int = PUSH_SCAN_DEFAULT_LIMIT
 ) -> Optional[frozenset[int]]:
     """First vertex set (by bitmask value, vertex 0 always excluded: X and its
-    complement push identically) whose push makes D acyclic, else None."""
+    complement push identically) whose push makes D acyclic, else None.
+
+    The 2^(n-1) push sets are tested in batches by acyclic_columns."""
     if D.n > limit:
         raise CapacityError(f"push scan limited to {limit} vertices (got {D.n})")
     if D.n == 0:
         return frozenset()
-    for m in range(1 << max(D.n - 1, 0)):
-        X = frozenset(v + 1 for v in range(D.n - 1) if m >> v & 1)
-        if is_acyclic(push(D, X)):
-            return X
+    n = D.n
+    into = np.array(D.in_masks(), dtype=np.uint64)[:, None]
+    nbrs = np.array(D.out, dtype=np.uint64)[:, None] | into
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    one = np.uint64(1)
+    total = 1 << (n - 1)
+    for lo in range(0, total, ACYCLIC_CHUNK):
+        # bit v + 1 of xm marks vertex v + 1 in X
+        xm = np.arange(lo, min(lo + ACYCLIC_CHUNK, total), dtype=np.uint64) << one
+        # row u: X if u is in X, else its complement (0 - 1 wraps to all ones)
+        masks = (xm >> shifts) & one
+        masks -= one
+        masks ^= xm
+        # arcs to u's own side keep their direction, crossing arcs reverse:
+        # out-masks become (out & side) | (in & ~side) = in ^ (nbrs & side)
+        masks &= nbrs
+        masks ^= into
+        hits = acyclic_columns(masks)
+        if hits.any():
+            m = lo + int(np.argmax(hits))
+            return frozenset(v + 1 for v in range(n - 1) if m >> v & 1)
     return None
 
 

@@ -13,12 +13,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InputError, ModeError
 
 EXACT = "eq"
 AT_MOST = "leq"
 
 FAS_EXACT_DEFAULT_LIMIT = 20
+# candidate columns per acyclic_columns call; bounds the batch arrays' memory
+ACYCLIC_CHUNK = 1 << 12
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -247,6 +251,31 @@ def find_cycle(D: OrientedGraph) -> Optional[list[int]]:
 
 def is_acyclic(D: OrientedGraph) -> bool:
     return topological_order(D) is not None
+
+
+def acyclic_columns(out: np.ndarray) -> np.ndarray:
+    """Acyclicity of a batch of oriented graphs on the same k <= 64 vertices.
+
+    ``out`` is a (k, c) uint64 array: column j holds the out-masks of
+    candidate j, one row per vertex.  Every round removes all current sinks
+    (vertices with no arc to a remaining vertex); a candidate is acyclic iff
+    no vertex is left when a round removes nothing.  Callers pass at most
+    ACYCLIC_CHUNK columns at a time.
+    """
+    k, c = out.shape
+    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    alive = np.full(c, bits.sum(dtype=np.uint64), dtype=np.uint64)
+    pending = np.arange(c)  # columns still losing vertices
+    live = alive
+    while pending.size:
+        # bits are distinct powers of two, so the product ORs them
+        nxt = live & (bits @ ((out & live) != 0).astype(np.uint64))
+        going = (nxt != live) & (nxt != 0)
+        alive[pending] = nxt
+        if not going.all():
+            pending, out, nxt = pending[going], out[:, going], nxt[going]
+        live = nxt
+    return alive == 0
 
 
 def is_tournament(D: OrientedGraph) -> bool:

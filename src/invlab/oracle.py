@@ -6,6 +6,9 @@ and state 0 is D itself.  Moves are the nonzero pair-indicator masks of the
 candidate inversion sets restricted to those edges, deduplicated (distinct
 sets inducing the same restriction collapse to one move).  Distances are
 BFS-exact; unreachability is reported as None, never as a sentinel number.
+The reachable states are the F2 span of the moves, so reachability and the
+class census are answered by Gaussian elimination; orbit_labels keeps a BFS
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -14,25 +17,26 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import CapacityError, InputError
 from .graphs import (
+    ACYCLIC_CHUNK,
     AT_MOST,
     EXACT,
     OrientedGraph,
+    acyclic_columns,
     invert,
     is_acyclic,
     is_tournament,
 )
-from .pairspace import encode_set
+from .pairspace import _reduce, encode_set
 
 DEFAULT_CAP_BITS = 22
 HARD_CAP_BITS = 26  # uint32 state arrays; the visited table alone is 2^m bytes
 MOVE_ENUM_LIMIT = 2_000_000
-_ORDERING_ENUM_LIMIT = 9
 
 
 def default_cap_bits() -> int:
@@ -81,18 +85,19 @@ def _restricted_moves(
     total = sum(math.comb(a, s) for s in sizes)
     if total > enum_limit:
         raise CapacityError(f"{total} candidate sets exceed move limit {enum_limit}")
-    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
-    moves = set()
-    for s in sizes:
-        for sub in itertools.combinations(active, s):
-            chosen = set(sub)
-            m = 0
-            for e, bit in edge_bit.items():
-                if e[0] in chosen and e[1] in chosen:
-                    m |= bit
-            if m:
-                moves.add(m)
-    return tuple(sorted(moves))
+    bit = [1 << i for i in range(a)]
+    chosen = np.fromiter(
+        (sum(sub) for s in sizes for sub in itertools.combinations(bit, s)),
+        dtype=np.uint64,
+        count=total,
+    )
+    row = {v: np.uint64(i) for i, v in enumerate(active)}
+    moves = np.zeros(total, dtype=np.uint64)
+    for i, (u, v) in enumerate(edges):
+        inside = (chosen >> row[u]) & (chosen >> row[v]) & np.uint64(1)
+        moves |= inside << np.uint64(i)
+    moves = np.unique(moves)
+    return tuple(moves[moves != 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -141,24 +146,6 @@ def state_space(
     return StateSpace(D, edges, _restricted_moves(D.n, edges, p, mode))
 
 
-def _acyclic_state_set(space: StateSpace) -> Optional[frozenset[int]]:
-    """All acyclic states, via enumeration of orderings of the edge-incident
-    vertices; None when that enumeration would be too large."""
-    edges = space.edges
-    active = sorted({v for e in edges for v in e})
-    if len(active) > _ORDERING_ENUM_LIMIT:
-        return None
-    states = set()
-    for perm in itertools.permutations(active):
-        pos = {v: i for i, v in enumerate(perm)}
-        s = 0
-        for i, (u, v) in enumerate(edges):
-            if space.graph.has_arc(u, v) != (pos[u] < pos[v]):
-                s |= 1 << i
-        states.add(s)
-    return frozenset(states)
-
-
 def _bfs_until(
     space: StateSpace, start: int, is_target: Callable[[np.ndarray], np.ndarray]
 ) -> Optional[int]:
@@ -183,32 +170,79 @@ def _bfs_until(
     return None
 
 
+def _flip_masks(
+    k: int, ends: list[tuple[int, int]], states: np.ndarray
+) -> np.ndarray:
+    """(k, len(states)) XOR masks on k out-masks: bit i of a state reverses
+    the arc between rows ends[i] = (u, v), whichever way it points."""
+    out = np.zeros((k, states.size), dtype=np.uint64)
+    for i, (u, v) in enumerate(ends):
+        flip = (states >> np.uint64(i)) & np.uint64(1)
+        out[u] ^= flip << np.uint64(v)
+        out[v] ^= flip << np.uint64(u)
+    return out
+
+
+def _acyclic_states(space: StateSpace) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch test 'state s decodes to an acyclic graph', for _bfs_until.
+
+    Rows are the edge-incident vertices only; a state's out-masks are the
+    base masks XORed with one precomputed table entry per byte of the state.
+    """
+    active = sorted({v for e in space.edges for v in e})
+    row = {v: i for i, v in enumerate(active)}
+    out = [0] * len(active)
+    for u, v in space.graph.arcs():
+        out[row[u]] |= 1 << row[v]
+    base = np.array(out, dtype=np.uint64)[:, None]
+    ends = [(row[u], row[v]) for u, v in space.edges]
+    # byte j of a state applies the XOR masks tables[j][:, byte]
+    tables = [
+        _flip_masks(len(active), part, np.arange(1 << len(part), dtype=np.uint64))
+        for part in (ends[lo : lo + 8] for lo in range(0, len(ends), 8))
+    ]
+
+    def acyclic(frontier: np.ndarray) -> np.ndarray:
+        hits = []
+        for lo in range(0, frontier.size, ACYCLIC_CHUNK):
+            states = frontier[lo : lo + ACYCLIC_CHUNK]
+            masks = np.repeat(base, states.size, axis=1)
+            for j, table in enumerate(tables):
+                masks ^= table[:, states >> 8 * j & 255]
+            hits.append(acyclic_columns(masks))
+        return np.concatenate(hits)
+
+    return acyclic
+
+
 def exact_inv(
     D: OrientedGraph, p: int, mode: str = EXACT, cap_bits: Optional[int] = None
 ) -> Optional[int]:
     """Minimum number of (=p)- or (<=p)-inversions rendering D acyclic,
     or None when no sequence reaches an acyclic orientation."""
     space = state_space(D, p, mode, cap_bits)
-    targets = _acyclic_state_set(space)
-    if targets is not None:
-        mask = np.zeros(1 << space.m, dtype=bool)
-        mask[np.fromiter(targets, dtype=np.uint32, count=len(targets))] = True
-        return _bfs_until(space, 0, lambda fr: mask[fr])
+    return _bfs_until(space, 0, _acyclic_states(space))
 
-    def kahn_targets(frontier: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (is_acyclic(space.decode(int(s))) for s in frontier),
-            dtype=bool,
-            count=frontier.size,
-        )
 
-    return _bfs_until(space, 0, kahn_targets)
+def _span_basis(vectors: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Echelon basis of the F2 span of the vectors, keyed by pivot position."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for vec in vectors:
+        vec, _, pos = _reduce(vec, 0, pivots)
+        if vec:
+            pivots[pos] = (vec, 0)
+    return pivots
 
 
 def reachable(
     T1: OrientedGraph, T2: OrientedGraph, p: int, cap_bits: Optional[int] = None
 ) -> bool:
-    """Whether some (=p)-family maps tournament T1 onto T2, by BFS."""
+    """Whether some (=p)-family maps tournament T1 onto T2.
+
+    The states reachable from 0 are exactly the F2 span of the moves, so this
+    tests membership of the target by Gaussian elimination: generic linear
+    algebra over the enumerated moves, independent of the paper's parity
+    signature."""
     if T1.n != T2.n:
         raise InputError("tournaments must share a vertex set")
     if not is_tournament(T1) or not is_tournament(T2):
@@ -219,7 +253,7 @@ def reachable(
     for i, (u, v) in enumerate(space.edges):
         if T1.has_arc(u, v) != T2.has_arc(u, v):
             target |= 1 << i
-    return _bfs_until(space, 0, lambda fr: fr == np.uint32(target)) is not None
+    return not _reduce(target, 0, _span_basis(space.moves))[0]
 
 
 def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
@@ -250,10 +284,18 @@ def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
 
 
 def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> list[int]:
-    """Sizes of the reachability classes, largest first."""
-    labels = orbit_labels(n, p, cap_bits)
-    sizes = np.bincount(labels)
-    return sorted((int(s) for s in sizes), reverse=True)
+    """Sizes of the reachability classes, largest first.
+
+    The classes are the cosets of the span of the p-set indicators, so there
+    are 2^(m-r) of them, each of size 2^r, where r is the rank of that span
+    over F2.  This is generic linear algebra over the enumerated generators,
+    not the paper's parity theorem; orbit_labels is the BFS reference."""
+    cap = default_cap_bits() if cap_bits is None else cap_bits
+    m = n * (n - 1) // 2
+    _check_state_bits(m, cap)
+    generators = (encode_set(X, n).bits for X in itertools.combinations(range(n), p))
+    r = len(_span_basis(generators))
+    return [1 << r] * (1 << (m - r))
 
 
 def _transitive_scan_factory(D: OrientedGraph):

@@ -11,9 +11,38 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, Sequence
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .generate import Hypergraph, MccInstance
 from .graphs import InversionFamily, OrientedGraph, UndirectedGraph
+
+
+# largest vertex count any reader accepts; far above every exhaustive cap, and
+# refused before any per-vertex structure is allocated
+MAX_VERTICES = 10_000
+
+
+def _vertex_count(n: Any, what: str) -> int:
+    # `type(x) is int` also rejects bool, an int subclass: true is not a count
+    if type(n) is not int or n < 0:
+        raise InputError(f"{what} JSON 'n' must be a nonnegative integer")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    return n
+
+
+def _int_lists(items: Any, what: str, size: Optional[int] = None) -> list[list[int]]:
+    """items, checked to be a list of integer lists (each of length size,
+    when given)."""
+    if not isinstance(items, list):
+        raise InputError(f"{what} must be a list of integer lists")
+    for item in items:
+        if not (
+            isinstance(item, list)
+            and all(type(v) is int for v in item)
+            and (size is None or len(item) == size)
+        ):
+            raise InputError(f"bad entry {item!r} in {what}")
+    return items
 
 
 def _dumps(obj: Any) -> str:
@@ -27,10 +56,9 @@ def graph_to_dict(D: OrientedGraph) -> dict:
 def graph_from_dict(data: Any) -> OrientedGraph:
     if not isinstance(data, dict) or "n" not in data or "arcs" not in data:
         raise InputError("graph JSON needs keys 'n' and 'arcs'")
-    n = data["n"]
+    n = _vertex_count(data["n"], "graph")
     arcs = data["arcs"]
-    # `type(x) is int` also rejects bool, an int subclass: true is not a vertex
-    if type(n) is not int or not isinstance(arcs, list):
+    if not isinstance(arcs, list):
         raise InputError("graph JSON types: n int, arcs list")
     pairs = []
     for item in arcs:
@@ -127,12 +155,17 @@ def hypergraph_to_dict(H: Hypergraph) -> dict:
 def hypergraph_from_dict(data: Any) -> Hypergraph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InputError("hypergraph JSON needs keys 'n' and 'edges'")
-    return Hypergraph(data["n"], tuple(frozenset(e) for e in data["edges"]))
+    n = _vertex_count(data["n"], "hypergraph")
+    edges = _int_lists(data["edges"], "hypergraph edges")
+    return Hypergraph(n, tuple(frozenset(e) for e in edges))
 
 
 def mcc_instance_from_dict(data: Any) -> MccInstance:
     for key in ("n", "edges", "parts"):
         if not isinstance(data, dict) or key not in data:
             raise InputError("MCC JSON needs keys 'n', 'edges' and 'parts'")
-    G = UndirectedGraph.from_edges(data["n"], [tuple(e) for e in data["edges"]])
-    return MccInstance(G, tuple(tuple(part) for part in data["parts"]))
+    n = _vertex_count(data["n"], "MCC")
+    edges = _int_lists(data["edges"], "MCC edges", size=2)
+    parts = _int_lists(data["parts"], "MCC parts")
+    G = UndirectedGraph.from_edges(n, [tuple(e) for e in edges])
+    return MccInstance(G, tuple(tuple(part) for part in parts))

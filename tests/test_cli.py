@@ -6,7 +6,8 @@ import pytest
 
 from invlab import bench as bench_mod
 from invlab.cli import cli_dispatch
-from invlab.errors import InputError
+from invlab import serialize as serialize_mod
+from invlab.errors import CapacityError, InputError
 from invlab.graphs import EXACT, InversionFamily, OrientedGraph
 from invlab.generate import random_oriented_graph, random_tournament, transitive_tournament
 from invlab.serialize import (
@@ -263,6 +264,45 @@ class TestCliMalformedInput:
     def test_bool_family_p_rejected(self):
         with pytest.raises(InputError):
             family_from_json('{"mode": "eq", "p": true, "sets": []}')
+
+    @pytest.mark.parametrize(
+        "family, instance",
+        [
+            ("lift", {"n": 3, "edges": [["a", 1]]}),
+            ("lift", {"n": 3, "edges": [[0, True]]}),
+            ("lift", {"n": 3, "edges": "01"}),
+            ("lift", {"n": "3", "edges": [[0, 1]]}),
+            ("mcc", {"n": 3, "edges": [[0]], "parts": [[0], [1], [2]]}),
+            ("mcc", {"n": 3, "edges": [[0, 1, 2]], "parts": [[0], [1], [2]]}),
+            ("mcc", {"n": 3, "edges": [], "parts": [0, 1, 2]}),
+            ("mcc", {"n": -1, "edges": [], "parts": []}),
+        ],
+    )
+    def test_malformed_instances_rejected(self, tmp_path, capsys, family, instance):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        code, _, err = run_cli(capsys, "generate", family, "--input", str(path))
+        assert code == 4 and "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verb, payload",
+        [
+            (("decide-invertible", "--p", "3"), {"n": 100_000_000, "arcs": []}),
+            (("generate", "lift", "--input"), {"n": 100_000_000, "edges": [[0, 1]]}),
+            (("generate", "mcc", "--input"), {"n": 100_000_000, "edges": [], "parts": []}),
+        ],
+    )
+    def test_vertex_cap(self, tmp_path, capsys, verb, payload):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, *verb, str(path))
+        assert code == 3 and "10000" in err
+
+    def test_vertex_cap_boundary(self):
+        n = serialize_mod.MAX_VERTICES
+        assert graph_from_json(json.dumps({"n": n, "arcs": [[0, n - 1]]})).n == n
+        with pytest.raises(CapacityError):
+            graph_from_json(json.dumps({"n": n + 1, "arcs": []}))
 
 
 class TestBench:

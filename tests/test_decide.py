@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oriented_graphs
+from invlab import decide as decide_mod
 from invlab.decide import (
     ParityBipartition,
     component_bounds,
@@ -277,6 +278,52 @@ class TestPushableBruteforce:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             pushable_bruteforce(transitive_tournament(25))
+
+
+def _reference_pushable_bruteforce(D):
+    """The push scan before batching: one push and one Kahn test per set."""
+    if D.n == 0:
+        return frozenset()
+    for m in range(1 << max(D.n - 1, 0)):
+        X = frozenset(v + 1 for v in range(D.n - 1) if m >> v & 1)
+        if is_acyclic(push(D, X)):
+            return X
+    return None
+
+
+@st.composite
+def pushed_transitive_tournaments(draw):
+    """A transitive tournament on 1-11 vertices, pushed at a random set: push-
+    equivalent to an acyclic graph, so the scan always finds a set."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    order = draw(st.permutations(range(n)))
+    X = draw(st.sets(st.integers(0, n - 1)))
+    T = OrientedGraph.from_arcs(
+        n, [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    )
+    return push(T, X)
+
+
+class TestPushableMatchesReference:
+    @given(oriented_graphs(max_n=11))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, D):
+        assert pushable_bruteforce(D) == _reference_pushable_bruteforce(D)
+
+    @given(pushed_transitive_tournaments())
+    @settings(max_examples=80, deadline=None)
+    def test_pushed_transitive_tournaments(self, D):
+        got = pushable_bruteforce(D)
+        assert got is not None and got == _reference_pushable_bruteforce(D)
+
+    @given(pushed_transitive_tournaments(), st.sampled_from([1, 3, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_small_batches(self, D, chunk):
+        # batches far below the default size put the first hit past batch one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decide_mod, "ACYCLIC_CHUNK", chunk)
+            got = pushable_bruteforce(D)
+        assert got == _reference_pushable_bruteforce(D)
 
 
 class TestOrientedGraphInvertible:

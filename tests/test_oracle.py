@@ -4,17 +4,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invlab.decide import oriented_graph_invertible
 from invlab.errors import CapacityError
 from invlab.graphs import (
+    ACYCLIC_CHUNK,
     AT_MOST,
     EXACT,
     OrientedGraph,
+    acyclic_columns,
     fas_exact,
     invert,
     is_acyclic,
 )
+from invlab import oracle as oracle_mod
 from invlab.generate import (
     directed_cycle,
     diregular_tournament,
@@ -23,6 +28,8 @@ from invlab.generate import (
     transitive_tournament,
 )
 from invlab.oracle import (
+    _acyclic_states,
+    _bfs_until,
     exact_inv,
     orbit_census,
     orbit_labels,
@@ -215,3 +222,164 @@ def _reference_scan(D, p):
             if is_acyclic(invert(D, X)):
                 return frozenset(X)
     return None
+
+
+# The target search before batched acyclicity tests: every ordering of the
+# edge-incident vertices gives the acyclic states when there are at most nine
+# of them; above that, each frontier state is decoded and Kahn-tested.
+_REFERENCE_ORDERING_LIMIT = 9
+
+
+def _reference_exact_inv(D, p, mode):
+    space = state_space(D, p, mode)
+    active = sorted({v for e in space.edges for v in e})
+    if len(active) <= _REFERENCE_ORDERING_LIMIT:
+        mask = np.zeros(1 << space.m, dtype=bool)
+        for perm in itertools.permutations(active):
+            pos = {v: i for i, v in enumerate(perm)}
+            s = 0
+            for i, (u, v) in enumerate(space.edges):
+                if D.has_arc(u, v) != (pos[u] < pos[v]):
+                    s |= 1 << i
+            mask[s] = True
+        return _bfs_until(space, 0, lambda fr: mask[fr])
+
+    def kahn_targets(frontier):
+        return np.array([is_acyclic(space.decode(int(s))) for s in frontier], dtype=bool)
+
+    return _bfs_until(space, 0, kahn_targets)
+
+
+@st.composite
+def covering_graphs(draw, min_active, max_active, max_edges):
+    """Cyclic oriented graphs whose edges touch exactly n of the vertices: a
+    directed cycle, a matching over the rest (plus one edge for an odd
+    remainder) and random extra edges, relabelled onto up to two more
+    isolated vertices."""
+    n = draw(st.integers(min_value=min_active, max_value=max_active))
+    c = draw(st.integers(min_value=3, max_value=min(n, 6)))
+    arcs = {(v, (v + 1) % c) for v in range(c)}
+    arcs |= {(v, v + 1) for v in range(c, n - 1, 2)}
+    if (n - c) % 2:
+        arcs.add((n - 1, 0))
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges - len(arcs),
+        )
+    )
+    for u, v in extra:
+        if u != v and (u, v) not in arcs and (v, u) not in arcs:
+            arcs.add((u, v))
+    # the cycle keeps its direction; every other arc may be reversed
+    flips = draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+    isolated = draw(st.integers(min_value=0, max_value=2))
+    label = draw(st.permutations(range(n + isolated)))
+    oriented = [
+        (v, u) if flip and max(u, v) >= c else (u, v)
+        for (u, v), flip in zip(sorted(arcs), flips)
+    ]
+    return OrientedGraph.from_arcs(n + isolated, [(label[u], label[v]) for u, v in oriented])
+
+
+class TestExactInvMatchesReference:
+    @given(
+        covering_graphs(4, 8, 16),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from([EXACT, AT_MOST]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ordering_path(self, D, p, mode):
+        assert exact_inv(D, p, mode) == _reference_exact_inv(D, p, mode)
+
+    @given(
+        covering_graphs(10, 14, 13),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from([EXACT, AT_MOST]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kahn_path(self, D, p, mode):
+        assert exact_inv(D, p, mode) == _reference_exact_inv(D, p, mode)
+
+    def test_seeded_graphs(self):
+        for seed in range(12):
+            D = random_oriented_graph(6 + seed % 2, 0.6, 500 + seed)
+            for p in (2, 3, 4, 5):
+                for mode in (EXACT, AT_MOST):
+                    got = exact_inv(D, p, mode)
+                    assert got == _reference_exact_inv(D, p, mode), (seed, p, mode)
+
+
+class TestAcyclicKernel:
+    def test_every_state_of_small_spaces(self):
+        cases = [
+            (directed_cycle(5), 3),
+            (random_oriented_graph(7, 0.5, 11), 4),
+            (random_oriented_graph(8, 0.5, 12), 3),  # more than one chunk
+        ]
+        for D, p in cases:
+            space = state_space(D, p, EXACT)
+            states = np.arange(1 << space.m, dtype=np.uint32)
+            want = [is_acyclic(space.decode(int(s))) for s in states]
+            assert _acyclic_states(space)(states).tolist() == want, (D, p)
+        assert max(state_space(D, p, EXACT).m for D, p in cases) > ACYCLIC_CHUNK.bit_length() - 1
+
+    def test_small_batches(self):
+        D = random_oriented_graph(6, 0.6, 13)
+        space = state_space(D, 3, AT_MOST)
+        states = np.arange(1 << space.m, dtype=np.uint32)
+        want = [is_acyclic(space.decode(int(s))) for s in states]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_mod, "ACYCLIC_CHUNK", 7)
+            assert _acyclic_states(space)(states).tolist() == want
+
+    @given(st.integers(1, 64), st.integers(0, 3), st.integers(0, 1 << 20))
+    @example(64, 1, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_kahn(self, k, flips, seed):
+        # transitive tournaments on up to 64 vertices with a few arcs reversed
+        import random
+
+        rng = random.Random(seed)
+        graphs = []
+        for _ in range(5):
+            out = [((1 << k) - 1) & ~((1 << (v + 1)) - 1) for v in range(k)]
+            for _ in range(flips if k > 1 else 0):
+                u, v = sorted(rng.sample(range(k), 2))
+                if out[u] >> v & 1:
+                    out[u] ^= 1 << v
+                    out[v] |= 1 << u
+            graphs.append(OrientedGraph(k, tuple(out)))
+        masks = np.array([G.out for G in graphs], dtype=np.uint64).T
+        assert acyclic_columns(masks).tolist() == [is_acyclic(G) for G in graphs]
+
+    def test_empty_inputs(self):
+        assert acyclic_columns(np.zeros((0, 3), dtype=np.uint64)).tolist() == [True] * 3
+        assert acyclic_columns(np.zeros((4, 0), dtype=np.uint64)).tolist() == []
+
+
+class TestCensusBySpanRank:
+    @pytest.mark.parametrize("n, p", [(5, 3), (6, 3), (6, 4), (7, 5)])
+    def test_matches_bfs_labels_on_c1_grids(self, n, p):
+        sizes = np.bincount(orbit_labels(n, p))
+        assert orbit_census(n, p) == sorted(sizes.tolist(), reverse=True)
+
+    @pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (4, 0), (4, 1), (4, 4), (4, 6), (5, 2)])
+    def test_degenerate_sizes(self, n, p):
+        sizes = np.bincount(orbit_labels(n, p))
+        assert orbit_census(n, p) == sorted(sizes.tolist(), reverse=True)
+
+    def test_over_cap_refused(self):
+        with pytest.raises(CapacityError):
+            orbit_census(8, 3, cap_bits=20)
+
+    def test_reachable_agrees_with_labels_6_4(self):
+        import random
+
+        labels = orbit_labels(6, 4)
+        rng = random.Random(64)
+        pairs = [(rng.randrange(1 << 15), rng.randrange(1 << 15)) for _ in range(30)]
+        pairs += [(a, a ^ 1) for a, _ in pairs[:5]]  # one arc apart: never reachable
+        for a, b in pairs:
+            T1, T2 = _tournament_from_bits(6, a), _tournament_from_bits(6, b)
+            assert reachable(T1, T2, 4) == (labels[a] == labels[b]), (a, b)

@@ -12,6 +12,7 @@ from .graphs import (
     apply_family,
     fas_exact,
     fas_heuristic,
+    feedback_arc_set,
     invert,
     is_acyclic,
     is_tournament,

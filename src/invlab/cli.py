@@ -15,15 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bench as bench_mod
-from .decycle import (
-    CYCLE_FIRST,
-    PAIRWISE,
-    GadgetPlan,
-    decycle_dense,
-    decycle_opt_dense,
-    decycle_via_fas,
-    verify_family,
-)
+from .decycle import STRATEGIES, GadgetPlan, verify_family
 from .decide import oriented_graph_invertible, tournaments_equivalent
 from .errors import CapacityError, InputError, UnsupportedRangeError
 from .generate import (
@@ -37,7 +29,7 @@ from .generate import (
     shec_reduction,
     transitive_tournament,
 )
-from .graphs import AT_MOST, EXACT, OrientedGraph
+from .graphs import AT_MOST, EXACT, OrientedGraph, apply_family
 from .kernel import KernelConfig, kernelize
 from .oracle import exact_inv, orbit_census
 from .serialize import (
@@ -90,9 +82,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("decycle", help="construct a decycling (=p)-family")
     c.add_argument("--p", type=int, required=True)
-    c.add_argument(
-        "--strategy", choices=["fas", "2fas", "dense", "opt-dense"], default="fas"
-    )
+    c.add_argument("--strategy", choices=list(STRATEGIES), default="fas")
     c.add_argument("--emit", choices=["json", "dot-trace"], default="json")
     c.add_argument("input", nargs="?", default="-")
 
@@ -169,19 +159,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "decycle":
         D = _read_graph(args.input)
         trace: list[GadgetPlan] = []
-        if args.strategy == "fas":
-            family = decycle_via_fas(D, args.p, PAIRWISE, trace=trace)
-        elif args.strategy == "2fas":
-            family = decycle_via_fas(D, args.p, CYCLE_FIRST, trace=trace)
-        elif args.strategy == "dense":
-            family = decycle_dense(D, args.p, trace=trace)
-        else:
-            family = decycle_opt_dense(D, args.p, trace=trace)
+        family = STRATEGIES[args.strategy].pipeline(D, args.p, trace=trace).family
         if args.emit == "json":
             sys.stdout.write(family_to_json(family))
         else:
-            from .graphs import apply_family
-
             sys.stdout.write(_trace_text(trace, apply_family(D, family)))
         return 0
 

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError, ModeError, UnsupportedRangeError
 from .graphs import (
     AT_MOST,
     EXACT,
-    FAS_EXACT_DEFAULT_LIMIT,
     FasResult,
     InversionFamily,
     OrientedGraph,
     apply_family,
-    fas_exact,
-    fas_heuristic,
+    feedback_arc_set,
     induced_subgraph,
     invert,
     is_acyclic,
@@ -40,6 +39,10 @@ class GadgetPlan:
     anchors: tuple[int, ...]
     helper: tuple[int, ...]
     sets: tuple[frozenset[int], ...]
+
+
+# collects the gadget plans of a pipeline run, in order, when given
+Trace = Optional[list[GadgetPlan]]
 
 
 def _helper_set(n: int, size: int, forbidden: Iterable[int]) -> tuple[int, ...]:
@@ -242,7 +245,7 @@ def reverse_arc_set(
     arcs: Iterable[tuple[int, int]],
     p: int,
     strategy: str = PAIRWISE,
-    trace: Optional[list[GadgetPlan]] = None,
+    trace: Trace = None,
 ) -> InversionFamily:
     """A (=p)-family whose application flips exactly the given arcs of D.
 
@@ -308,12 +311,6 @@ def reverse_arc_set(
     return family
 
 
-def _fas_for(D: OrientedGraph, exact_limit: int) -> FasResult:
-    if D.n <= exact_limit:
-        return fas_exact(D, exact_limit)
-    return fas_heuristic(D)
-
-
 def _safe_extra_arc(
     D1: OrientedGraph, prefer_not: set[tuple[int, int]]
 ) -> tuple[int, int]:
@@ -338,15 +335,14 @@ def decycle_via_fas(
     p: int,
     strategy: str = PAIRWISE,
     fas: Optional[FasResult] = None,
-    exact_limit: int = FAS_EXACT_DEFAULT_LIMIT,
-    trace: Optional[list[GadgetPlan]] = None,
+    trace: Trace = None,
 ) -> InversionFamily:
     """Decycle D with at most (2p-2)(fas+1) (=p)-inversions, fas taken from the
-    feedback arc set actually used."""
+    feedback arc set actually used (feedback_arc_set(D) unless given)."""
     _check_pipeline_args(D, p)
     if is_acyclic(D):
         return InversionFamily((), p, EXACT)
-    chosen = fas if fas is not None else _fas_for(D, exact_limit)
+    chosen = fas if fas is not None else feedback_arc_set(D)
     diff = set(chosen.arcs)
     if len(diff) % 2 == 1:
         D1 = apply_family(
@@ -366,6 +362,28 @@ def decycle_via_fas(
     return family
 
 
+class Decycling(NamedTuple):
+    """A pipeline's family, the graph its fas stage started from, and the
+    feedback arc set that stage used (None when that graph was acyclic)."""
+
+    family: InversionFamily
+    stage: OrientedGraph
+    fas: Optional[FasResult]
+
+
+def _via_fas(
+    D: OrientedGraph,
+    p: int,
+    strategy: str = PAIRWISE,
+    fas: Optional[FasResult] = None,
+    trace: Trace = None,
+) -> Decycling:
+    _check_pipeline_args(D, p)
+    if fas is None and not is_acyclic(D):
+        fas = feedback_arc_set(D)
+    return Decycling(decycle_via_fas(D, p, strategy, fas, trace), D, fas)
+
+
 class GreedyReduction(NamedTuple):
     family: InversionFamily
     reduced: OrientedGraph
@@ -376,7 +394,6 @@ def greedy_reduce(
     D: OrientedGraph,
     p: int,
     ordering: Optional[Sequence[int]] = None,
-    exact_limit: int = FAS_EXACT_DEFAULT_LIMIT,
 ) -> GreedyReduction:
     """Sweep the ordering, absorbing batches of p-1 backward arcs per inversion.
 
@@ -408,11 +425,7 @@ def greedy_reduce(
             sets.append(X)
             current = invert(current, X)
     tail_vertices = order[n - p:]
-    tail_fas = (
-        fas_exact(induced_subgraph(current, tail_vertices), exact_limit)
-        if p <= exact_limit
-        else fas_heuristic(induced_subgraph(current, tail_vertices))
-    )
+    tail_fas = feedback_arc_set(induced_subgraph(current, tail_vertices))
     tail_order = [tail_vertices[i] for i in tail_fas.ordering]
     cert = tuple(order[: n - p] + tail_order)
     family = InversionFamily(tuple(sets), p, EXACT)
@@ -420,24 +433,20 @@ def greedy_reduce(
     return GreedyReduction(family, current, cert)
 
 
-def decycle_dense(
-    D: OrientedGraph,
-    p: int,
-    strategy: str = PAIRWISE,
-    exact_limit: int = FAS_EXACT_DEFAULT_LIMIT,
-    trace: Optional[list[GadgetPlan]] = None,
-) -> InversionFamily:
-    """Greedy arc-absorption sweep followed by the fas pipeline on what is left."""
+def _dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
     _check_pipeline_args(D, p)
-    reduction = greedy_reduce(D, p, exact_limit=exact_limit)
-    rest = decycle_via_fas(
-        reduction.reduced, p, strategy, exact_limit=exact_limit, trace=trace
-    )
+    reduction = greedy_reduce(D, p)
+    rest = _via_fas(reduction.reduced, p, PAIRWISE, trace=trace)
     family = minimize_family(
-        D, InversionFamily(reduction.family.sets + rest.sets, p, EXACT)
+        D, InversionFamily(reduction.family.sets + rest.family.sets, p, EXACT)
     )
     assert is_acyclic(apply_family(D, family))
-    return family
+    return rest._replace(family=family)
+
+
+def decycle_dense(D: OrientedGraph, p: int, trace: Trace = None) -> InversionFamily:
+    """Greedy arc-absorption sweep followed by the fas pipeline on what is left."""
+    return _dense(D, p, trace).family
 
 
 @dataclass(frozen=True)
@@ -516,25 +525,64 @@ def biclique_peel(
                 current.discard(_pair_of((x, y)))
 
 
-def decycle_opt_dense(
-    D: OrientedGraph,
-    p: int,
-    caps: PeelCaps = PeelCaps(),
-    exact_limit: int = FAS_EXACT_DEFAULT_LIMIT,
-    trace: Optional[list[GadgetPlan]] = None,
-) -> InversionFamily:
-    """Peel biclique blocks out of a minimum feedback arc set, then finish with
-    the fas pipeline on the perturbed graph."""
+def _opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
     _check_pipeline_args(D, p)
     if is_acyclic(D):
-        return InversionFamily((), p, EXACT)
-    fas = _fas_for(D, exact_limit)
-    peel, _residual = biclique_peel(D.n, fas.arcs, p, caps)
+        return Decycling(InversionFamily((), p, EXACT), D, None)
+    fas = feedback_arc_set(D)
+    peel, _residual = biclique_peel(D.n, fas.arcs, p)
     D1 = apply_family(D, peel)
-    rest = decycle_via_fas(D1, p, PAIRWISE, exact_limit=exact_limit, trace=trace)
-    family = minimize_family(D, InversionFamily(peel.sets + rest.sets, p, EXACT))
+    # an empty peel leaves D itself, whose feedback arc set is already known
+    rest = _via_fas(D1, p, PAIRWISE, None if peel.sets else fas, trace)
+    family = minimize_family(D, InversionFamily(peel.sets + rest.family.sets, p, EXACT))
     assert is_acyclic(apply_family(D, family))
-    return family
+    return rest._replace(family=family)
+
+
+def decycle_opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> InversionFamily:
+    """Peel biclique blocks out of a minimum feedback arc set, then finish with
+    the fas pipeline on the perturbed graph."""
+    return _opt_dense(D, p, trace).family
+
+
+class Strategy(NamedTuple):
+    """A named decycling pipeline, called as pipeline(D, p, trace=...), and
+    the bound on its family size as a function of (D, p, its Decycling)."""
+
+    pipeline: Callable[..., Decycling]
+    bound: Callable[[OrientedGraph, int, Decycling], Optional[int]]
+
+
+def _fas_bound(formula: Callable[[OrientedGraph, int, int], int]) -> Callable:
+    """A bound stated against the minimum feedback arc set of the fas stage's
+    graph: None when only a heuristic one is known."""
+
+    def bound(D: OrientedGraph, p: int, run: Decycling) -> Optional[int]:
+        fas = run.fas or feedback_arc_set(run.stage)
+        return formula(D, p, fas.size) if fas.exact else None
+
+    return bound
+
+
+# every decycling pipeline by its CLI name; the bench adds the greedy sweep,
+# which does not decycle
+STRATEGIES: dict[str, Strategy] = {
+    "fas": Strategy(
+        partial(_via_fas, strategy=PAIRWISE),
+        _fas_bound(lambda D, p, fas: (2 * p - 2) * (fas + 1)),
+    ),
+    "2fas": Strategy(
+        partial(_via_fas, strategy=CYCLE_FIRST),
+        _fas_bound(lambda D, p, fas: 2 * fas + 2 * p * D.n),
+    ),
+    "dense": Strategy(
+        _dense,
+        _fas_bound(
+            lambda D, p, fas: D.arc_count // (p - 1) + (2 * p - 2) * (fas + 1)
+        ),
+    ),
+    "opt-dense": Strategy(_opt_dense, lambda D, p, run: D.arc_count),
+}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ from .errors import CapacityError, InputError, ModeError
 EXACT = "eq"
 AT_MOST = "leq"
 
-FAS_EXACT_DEFAULT_LIMIT = 20
+# largest vertex count fas_exact accepts; feedback_arc_set switches to the
+# heuristic above it
+FAS_EXACT_LIMIT = 20
 # candidate columns per acyclic_columns call; bounds the batch arrays' memory
 ACYCLIC_CHUNK = 1 << 12
 
@@ -183,13 +185,6 @@ def push(D: OrientedGraph, X: Iterable[int]) -> OrientedGraph:
     return OrientedGraph(D.n, tuple(res))
 
 
-def reverse_all(D: OrientedGraph) -> OrientedGraph:
-    out = [0] * D.n
-    for u, v in D.arcs():
-        out[v] |= 1 << u
-    return OrientedGraph(D.n, tuple(out))
-
-
 def topological_order(D: OrientedGraph) -> Optional[list[int]]:
     """Smallest-index-first Kahn ordering, or None if D has a directed cycle."""
     indeg = [0] * D.n
@@ -294,20 +289,18 @@ def out_even_count(D: OrientedGraph) -> int:
     return sum(1 for m in D.out if m.bit_count() % 2 == 0)
 
 
-def out_parity_profile(D: OrientedGraph) -> tuple[int, ...]:
-    return tuple(m.bit_count() & 1 for m in D.out)
-
-
-def fas_exact(D: OrientedGraph, limit: int = FAS_EXACT_DEFAULT_LIMIT) -> FasResult:
+def fas_exact(D: OrientedGraph) -> FasResult:
     """Minimum feedback arc set by dynamic programming over vertex subsets.
 
-    Exponential in n; refuses above `limit` (use fas_heuristic there instead).
-    The returned arcs are the backward arcs of the returned ordering.
+    Exponential in n; refuses above FAS_EXACT_LIMIT vertices (use
+    fas_heuristic there instead).  The returned arcs are the backward arcs of
+    the returned ordering.
     """
     n = D.n
-    if n > limit:
+    if n > FAS_EXACT_LIMIT:
         raise CapacityError(
-            f"fas_exact limited to {limit} vertices (got {n}); use fas_heuristic"
+            f"fas_exact limited to {FAS_EXACT_LIMIT} vertices (got {n}); "
+            "use fas_heuristic"
         )
     if n == 0:
         return FasResult(0, (), (), True)
@@ -375,6 +368,12 @@ def fas_heuristic(D: OrientedGraph) -> FasResult:
                 improved = True
     arcs = tuple(backward_arcs(D, order))
     return FasResult(len(arcs), arcs, tuple(order), False)
+
+
+def feedback_arc_set(D: OrientedGraph) -> FasResult:
+    """The feedback arc set every pipeline uses: minimum (fas_exact) up to
+    FAS_EXACT_LIMIT vertices, fas_heuristic above."""
+    return fas_exact(D) if D.n <= FAS_EXACT_LIMIT else fas_heuristic(D)
 
 
 def delete_vertex(D: OrientedGraph, z: int) -> OrientedGraph:

@@ -16,12 +16,9 @@ from typing import Optional
 
 from .errors import InputError
 from .graphs import (
-    FAS_EXACT_DEFAULT_LIMIT,
-    FasResult,
     OrientedGraph,
     delete_vertex,
-    fas_exact,
-    fas_heuristic,
+    feedback_arc_set,
     invert,
     is_acyclic,
     is_tournament,
@@ -34,16 +31,12 @@ class KernelConfig:
     p: int
     k: int
     eps: Fraction = Fraction(1, 2)
-    fas_mode: str = "auto"  # "exact" | "heuristic" | "auto" (exact when small)
-    fas_exact_limit: int = FAS_EXACT_DEFAULT_LIMIT
 
     def __post_init__(self) -> None:
         if self.p < 0 or self.k < 0:
             raise InputError("p and k must be nonnegative")
         if self.eps <= 0:
             raise InputError("eps must be positive")
-        if self.fas_mode not in ("exact", "heuristic", "auto"):
-            raise InputError(f"unknown fas mode {self.fas_mode!r}")
 
     def threshold(self) -> Fraction:
         """Minimum order at which one reduction step applies."""
@@ -94,14 +87,6 @@ def canonical_no_instance(p: int, k: int) -> OrientedGraph:
     return OrientedGraph.from_arcs(n, arcs)
 
 
-def _fas_for(T: OrientedGraph, cfg: KernelConfig) -> FasResult:
-    if cfg.fas_mode == "exact" or (
-        cfg.fas_mode == "auto" and T.n <= cfg.fas_exact_limit
-    ):
-        return fas_exact(T, cfg.fas_exact_limit)
-    return fas_heuristic(T)
-
-
 def _arc_minimal(T: OrientedGraph, arcs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Drop arcs whose removal from the feedback set keeps it feasible."""
     current = list(arcs)
@@ -126,7 +111,7 @@ def delvertex_step(T: OrientedGraph, cfg: KernelConfig) -> StepOutcome:
         raise InputError("kernelization needs a tournament")
     if T.n < cfg.threshold():
         return StepOutcome("noop", T)
-    fas = _fas_for(T, cfg)
+    fas = feedback_arc_set(T)
     if fas.size > cfg.fas_bound():
         return StepOutcome(
             "no-instance",

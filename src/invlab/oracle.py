@@ -17,7 +17,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -49,16 +49,13 @@ def default_cap_bits() -> int:
         raise InputError(f"INVLAB_CAP_BITS={env!r} is not an integer") from None
 
 
-def _check_state_bits(m: int, cap: int) -> None:
+def _check_state_bits(m: int, cap_bits: Optional[int]) -> None:
+    cap = default_cap_bits() if cap_bits is None else cap_bits
     if m > min(cap, HARD_CAP_BITS):
         raise CapacityError(
             f"{m} edge bits exceed the state cap "
             f"(cap {cap}, hard ceiling {HARD_CAP_BITS})"
         )
-
-
-def _edge_list(D: OrientedGraph) -> tuple[tuple[int, int], ...]:
-    return tuple(D.underlying_pairs())
 
 
 def _restricted_moves(
@@ -121,52 +118,41 @@ class StateSpace:
             out[tail] |= 1 << head
         return OrientedGraph(self.graph.n, tuple(out))
 
-    def distances(self) -> np.ndarray:
-        """BFS distance from state 0 to every state; -1 where unreachable."""
-        dist = np.full(1 << self.m, -1, dtype=np.int32)
-        moves = np.array(self.moves, dtype=np.uint32)
-        dist[0] = 0
-        frontier = np.array([0], dtype=np.uint32)
-        d = 0
-        while frontier.size and moves.size:
-            nxt = np.unique((frontier[:, None] ^ moves[None, :]).ravel())
-            nxt = nxt[dist[nxt] < 0]
-            d += 1
-            dist[nxt] = d
-            frontier = nxt
-        return dist
-
 
 def state_space(
     D: OrientedGraph, p: int, mode: str = EXACT, cap_bits: Optional[int] = None
 ) -> StateSpace:
-    cap = default_cap_bits() if cap_bits is None else cap_bits
-    edges = _edge_list(D)
-    _check_state_bits(len(edges), cap)
+    edges = tuple(D.underlying_pairs())
+    _check_state_bits(len(edges), cap_bits)
     return StateSpace(D, edges, _restricted_moves(D.n, edges, p, mode))
+
+
+def _bfs_layers(
+    moves: np.ndarray, start: int, seen: np.ndarray
+) -> Iterator[np.ndarray]:
+    """BFS layers from start over the uint32 move array, layer d holding the
+    states at distance d; seen (a bool array over all states) marks every
+    state yielded.  A layer is expanded only when the next one is requested."""
+    seen[start] = True
+    frontier = np.array([start], dtype=np.uint32)
+    while frontier.size:
+        yield frontier
+        if not moves.size:
+            return
+        nxt = np.unique((frontier[:, None] ^ moves[None, :]).ravel())
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
 
 
 def _bfs_until(
     space: StateSpace, start: int, is_target: Callable[[np.ndarray], np.ndarray]
 ) -> Optional[int]:
     """Layered BFS from start; distance to the first layer containing a target."""
-    m = space.m
     moves = np.array(space.moves, dtype=np.uint32)
-    visited = np.zeros(1 << m, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.uint32)
-    d = 0
-    while frontier.size:
-        hits = is_target(frontier)
-        if hits.any():
+    seen = np.zeros(1 << space.m, dtype=bool)
+    for d, layer in enumerate(_bfs_layers(moves, start, seen)):
+        if is_target(layer).any():
             return d
-        if not moves.size:
-            return None
-        nxt = np.unique((frontier[:, None] ^ moves[None, :]).ravel())
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-        d += 1
     return None
 
 
@@ -259,26 +245,17 @@ def reachable(
 def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
     """Reachability-class label of every one of the 2^C(n,2) labelled
     tournaments, states laid out in the colexicographic pair order."""
-    cap = default_cap_bits() if cap_bits is None else cap_bits
     m = n * (n - 1) // 2
-    _check_state_bits(m, cap)
+    _check_state_bits(m, cap_bits)
     moves_set = {encode_set(X, n).bits for X in itertools.combinations(range(n), p)}
     moves_set.discard(0)
     moves = np.array(sorted(moves_set), dtype=np.uint32)
     labels = np.full(1 << m, -1, dtype=np.int32)
+    seen = np.zeros(1 << m, dtype=bool)
     cls = 0
-    remaining = 1 << m
-    while remaining:
-        start = int(np.argmax(labels < 0))
-        labels[start] = cls
-        remaining -= 1
-        frontier = np.array([start], dtype=np.uint32)
-        while frontier.size and moves.size:
-            nxt = np.unique((frontier[:, None] ^ moves[None, :]).ravel())
-            nxt = nxt[labels[nxt] < 0]
-            labels[nxt] = cls
-            remaining -= nxt.size
-            frontier = nxt
+    while not seen.all():
+        for layer in _bfs_layers(moves, int(np.argmin(seen)), seen):
+            labels[layer] = cls
         cls += 1
     return labels
 
@@ -290,9 +267,8 @@ def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> list[int]:
     are 2^(m-r) of them, each of size 2^r, where r is the rank of that span
     over F2.  This is generic linear algebra over the enumerated generators,
     not the paper's parity theorem; orbit_labels is the BFS reference."""
-    cap = default_cap_bits() if cap_bits is None else cap_bits
     m = n * (n - 1) // 2
-    _check_state_bits(m, cap)
+    _check_state_bits(m, cap_bits)
     generators = (encode_set(X, n).bits for X in itertools.combinations(range(n), p))
     r = len(_span_basis(generators))
     return [1 << r] * (1 << (m - r))

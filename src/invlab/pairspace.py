@@ -43,10 +43,6 @@ def incident_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def full_mask(n: int) -> int:
-    return (1 << pair_count(n)) - 1
-
-
 @dataclass(frozen=True)
 class PairVector:
     n: int

@@ -132,19 +132,26 @@ def graph_to_dot(D: OrientedGraph, names: Optional[Sequence[str]] = None) -> str
 
 
 def graph_from_dot(text: str) -> OrientedGraph:
-    """Parse the DOT dialect emitted by graph_to_dot (round-trips bit-exactly)."""
+    """Parse the DOT dialect emitted by graph_to_dot (round-trips bit-exactly).
+
+    The vertex count is capped like every JSON reader's, before allocating."""
     vertices: set[int] = set()
     arcs = []
     for raw in text.splitlines():
         line = raw.strip().rstrip(";")
         if not line or line in ("digraph {", "}"):
             continue
-        if "->" in line:
-            left, right = line.split("->")
-            arcs.append((int(left), int(right)))
-        else:
-            vertices.add(int(line.split("[", 1)[0]))
-    n = max(vertices) + 1 if vertices else 0
+        try:
+            if "->" in line:
+                left, right = line.split("->")
+                arcs.append((int(left), int(right)))
+            else:
+                vertices.add(int(line.split("[", 1)[0]))
+        except ValueError:
+            raise InputError(f"bad DOT line {raw!r}") from None
+    if vertices and min(vertices) < 0:
+        raise InputError(f"negative DOT vertex {min(vertices)}")
+    n = _vertex_count(max(vertices) + 1 if vertices else 0, "DOT")
     return OrientedGraph.from_arcs(n, arcs)
 
 

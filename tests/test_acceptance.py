@@ -67,7 +67,6 @@ from invlab.generate import (
 from invlab.kernel import KernelConfig, kernelize
 from invlab.oracle import exact_inv, orbit_labels, single_inversion_decycles
 from invlab.pairspace import (
-    full_mask,
     incident_masks,
     minimize_family,
     pair_count,
@@ -99,11 +98,11 @@ def _signature_ids(n, p):
     if r == 2:
         masks = []
     elif r == 0:
-        masks = [full_mask(n)]
+        masks = [(1 << pair_count(n)) - 1]
     elif r == 3:
         masks = list(incident_masks(n)[: n - 1])
     else:
-        masks = list(incident_masks(n)[: n - 1]) + [full_mask(n)]
+        masks = list(incident_masks(n)[: n - 1]) + [(1 << pair_count(n)) - 1]
     states = np.arange(1 << pair_count(n), dtype=np.uint32)
     ids = np.zeros(states.size, dtype=np.uint32)
     for i, h in enumerate(masks):

@@ -6,13 +6,24 @@ import pytest
 
 from invlab import bench as bench_mod
 from invlab.cli import cli_dispatch
+from invlab.decycle import (
+    CYCLE_FIRST,
+    PAIRWISE,
+    STRATEGIES,
+    Strategy,
+    decycle_dense,
+    decycle_opt_dense,
+    decycle_via_fas,
+)
 from invlab import serialize as serialize_mod
 from invlab.errors import CapacityError, InputError
 from invlab.graphs import EXACT, InversionFamily, OrientedGraph
 from invlab.generate import random_oriented_graph, random_tournament, transitive_tournament
 from invlab.serialize import (
+    MAX_VERTICES,
     family_from_json,
     family_to_json,
+    graph_from_dot,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -55,12 +66,23 @@ class TestSerialization:
         assert "digraph" in dot and "0 -> 1;" in dot
 
     def test_dot_round_trip(self):
-        from invlab.serialize import graph_from_dot
-
         for seed in range(50):
             D = random_oriented_graph(seed % 8, 0.5, seed)
             assert graph_from_dot(graph_to_dot(D)) == D
             assert graph_to_dot(graph_from_dot(graph_to_dot(D))) == graph_to_dot(D)
+
+    def test_dot_vertex_cap(self):
+        top = MAX_VERTICES - 1
+        assert graph_from_dot(f"digraph {{\n  {top} [label={top}];\n}}\n").n == top + 1
+        with pytest.raises(CapacityError):
+            graph_from_dot(f"digraph {{\n  {top + 1} [label={top + 1}];\n}}\n")
+
+    @pytest.mark.parametrize(
+        "text", ["0 -> x", "x [label=x];", "0 -> 1 -> 2", "-1 [label=-1];", "1;\n0 -> 5;"]
+    )
+    def test_dot_malformed_lines(self, text):
+        with pytest.raises(InputError):
+            graph_from_dot(text)
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +149,22 @@ class TestCliVerbs:
         assert code == 0
         report = json.loads(out)
         assert report["acyclic"] and report["sizes_ok"]
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_decycle_strategy_matches_public_pipeline(self, strategy, tmp_path, capsys):
+        public = {
+            "fas": lambda D, p: decycle_via_fas(D, p, PAIRWISE),
+            "2fas": lambda D, p: decycle_via_fas(D, p, CYCLE_FIRST),
+            "dense": decycle_dense,
+            "opt-dense": decycle_opt_dense,
+        }
+        assert set(public) == set(STRATEGIES)
+        D = random_tournament(11, 3)
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(D))
+        code, out, _ = run_cli(capsys, "decycle", "--p", "4", "--strategy", strategy, str(g))
+        assert code == 0
+        assert out == family_to_json(public[strategy](D, 4))
 
     def test_decycle_dot_trace(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -342,16 +380,15 @@ class TestBench:
         assert csv.count("\n") == 4
 
     def test_fault_injection_flags_row(self, monkeypatch):
-        import invlab.bench as bm
+        real = STRATEGIES["fas"]
 
-        real = bm.decycle_via_fas
+        def corrupted(D, p, trace=None):
+            run = real.pipeline(D, p, trace=trace)
+            fam = run.family
+            return run._replace(family=InversionFamily(fam.sets[1:], fam.p, fam.mode))
 
-        def corrupted(D, p, strategy, fas=None):
-            fam = real(D, p, strategy, fas=fas)
-            return InversionFamily(fam.sets[1:], fam.p, fam.mode)
-
-        monkeypatch.setattr(bm, "decycle_via_fas", corrupted)
-        rows = bm.bench_suite(
+        monkeypatch.setitem(STRATEGIES, "fas", Strategy(corrupted, real.bound))
+        rows = bench_mod.bench_suite(
             [
                 {
                     "name": "bad",
@@ -363,6 +400,40 @@ class TestBench:
             deterministic=True,
         )
         assert rows[0]["acyclic-ok"] is False
+
+    def test_greedy_row_checks_residual(self, monkeypatch):
+        row = {
+            "name": "ro-12-greedy",
+            "generator": {"kind": "random_oriented", "n": 12, "density": 0.8, "seed": 4},
+            "p": 4,
+            "strategy": "greedy",
+        }
+        assert bench_mod.run_row(row, deterministic=True)["acyclic-ok"] is True
+        real = bench_mod.greedy_reduce
+
+        def corrupted(D, p):
+            # a certificate ordering turned around has far too many backward arcs
+            reduction = real(D, p)
+            return reduction._replace(ordering=reduction.ordering[::-1])
+
+        monkeypatch.setattr(bench_mod, "greedy_reduce", corrupted)
+        assert bench_mod.run_row(row, deterministic=True)["acyclic-ok"] is False
+
+    def test_bench_spec_golden(self):
+        from pathlib import Path
+
+        spec = Path(__file__).resolve().parents[1] / "scripts" / "bench_spec.json"
+        rows = bench_mod.bench_suite(json.loads(spec.read_text()), deterministic=True)
+        assert bench_mod.rows_to_csv(rows) == (
+            "instance,n,p,mode,strategy,count,bound,bound-ok,acyclic-ok,oracle,runtime-ms\n"
+            "tn-12-fas,12,4,eq,fas,6,12,True,True,,\n"
+            "rt-10-fas,10,4,eq,fas,16,42,True,True,,\n"
+            "rt-10-2fas,10,4,eq,2fas,16,92,True,True,,\n"
+            "rt-12-dense,12,4,eq,dense,31,70,True,True,,\n"
+            "rt-12-opt-dense,12,4,eq,opt-dense,22,66,True,True,,\n"
+            "rt-7-fas-oracle,7,4,eq,fas,12,36,True,True,3,\n"
+            "ro-12-greedy,12,4,eq,greedy,4,16,True,True,,\n"
+        )
 
     def test_capacity_marked_not_fatal(self):
         rows = bench_mod.bench_suite(

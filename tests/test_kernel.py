@@ -40,8 +40,6 @@ class TestConfig:
             KernelConfig(p=3, k=1, eps=Fraction(0))
         with pytest.raises(InputError):
             KernelConfig(p=-1, k=1)
-        with pytest.raises(InputError):
-            KernelConfig(p=3, k=1, fas_mode="magic")
 
 
 class TestCanonicalNoInstance:

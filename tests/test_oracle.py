@@ -29,6 +29,7 @@ from invlab.generate import (
 )
 from invlab.oracle import (
     _acyclic_states,
+    _bfs_layers,
     _bfs_until,
     exact_inv,
     orbit_census,
@@ -37,7 +38,7 @@ from invlab.oracle import (
     single_inversion_decycles,
     state_space,
 )
-from invlab.pairspace import encode_tournament, full_mask, incident_masks, pair_count
+from invlab.pairspace import encode_tournament, incident_masks, pair_count
 
 
 class TestExactInv:
@@ -119,9 +120,27 @@ class TestStateSpace:
     def test_full_distances(self):
         D = directed_cycle(3)
         space = state_space(D, 2, EXACT)
-        dist = space.distances()
-        assert dist[0] == 0
-        assert (dist >= 0).all()  # single arc flips reach everything
+        seen = np.zeros(1 << space.m, dtype=bool)
+        moves = np.array(space.moves, dtype=np.uint32)
+        layers = list(_bfs_layers(moves, 0, seen))
+        assert layers[0].tolist() == [0]
+        assert seen.all()  # single arc flips reach everything
+        # each state is reached exactly once, in the layer of its arc count
+        states = np.concatenate(layers)
+        assert sorted(states.tolist()) == list(range(1 << space.m))
+        for d, layer in enumerate(layers):
+            assert all(int(s).bit_count() == d for s in layer)
+
+    def test_layers_expanded_lazily(self):
+        # after the first hit exact_inv asks for no further layer
+        space = state_space(directed_cycle(3), 2, EXACT)
+        moves = np.array(space.moves, dtype=np.uint32)
+        seen = np.zeros(1 << space.m, dtype=bool)
+        layers = _bfs_layers(moves, 0, seen)
+        next(layers)
+        assert seen.sum() == 1
+        next(layers)
+        assert seen.sum() == 1 + space.m
 
 
 class TestReachable:
@@ -163,11 +182,11 @@ def _signature_ids(n, p):
     r = p % 4
     masks = []
     if r == 0:
-        masks = [full_mask(n)]
+        masks = [(1 << pair_count(n)) - 1]
     elif r == 3:
         masks = list(incident_masks(n)[: n - 1])
     elif r == 1:
-        masks = list(incident_masks(n)[: n - 1]) + [full_mask(n)]
+        masks = list(incident_masks(n)[: n - 1]) + [(1 << pair_count(n)) - 1]
     states = np.arange(1 << pair_count(n), dtype=np.uint32)
     ids = np.zeros(states.size, dtype=np.uint32)
     for i, h in enumerate(masks):

@@ -17,7 +17,6 @@ from invlab.pairspace import (
     PairVector,
     encode_set,
     encode_tournament,
-    full_mask,
     incident_masks,
     minimize_family,
     pair_count,
@@ -245,10 +244,10 @@ def _signature_masks(n, p):
     if r == 2:
         return []
     if r == 0:
-        return [full_mask(n)]
+        return [(1 << pair_count(n)) - 1]
     masks = list(incident_masks(n)[: n - 1])
     if r == 1:
-        masks.append(full_mask(n))
+        masks.append((1 << pair_count(n)) - 1)
     return masks
 
 

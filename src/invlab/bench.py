@@ -94,7 +94,24 @@ def _build_instance(spec: dict) -> OrientedGraph:
     if kind not in _GENERATORS:
         raise InputError(f"unknown generator kind {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    return _GENERATORS[kind](**kwargs)
+    try:
+        return _GENERATORS[kind](**kwargs)
+    except TypeError as exc:  # a missing, unknown or ill-typed field
+        raise InputError(f"bad {kind!r} generator {spec!r}: {exc}") from exc
+
+
+def _check_row(row: Any) -> None:
+    """Refuse a row that is not an object with an int p, a str strategy and
+    a generator object, before anything runs."""
+    if not isinstance(row, dict):
+        raise InputError(f"bench row {row!r} must be an object")
+    name = row.get("name", "row")
+    if type(row.get("p")) is not int:
+        raise InputError(f"bench row {name!r}: p must be an integer")
+    if not isinstance(row.get("strategy"), str):
+        raise InputError(f"bench row {name!r}: strategy must be a string")
+    if not isinstance(row.get("generator"), dict):
+        raise InputError(f"bench row {name!r}: generator must be an object")
 
 
 # what a strategy contributes to its row: family, bound and acyclic-ok
@@ -162,6 +179,10 @@ def run_row(row: dict, deterministic: bool = False) -> dict:
 
 
 def bench_suite(rows: list[dict], deterministic: bool = False) -> list[dict]:
+    if not isinstance(rows, list):
+        raise InputError("a bench spec must be a JSON list of rows")
+    for row in rows:
+        _check_row(row)
     return [run_row(row, deterministic) for row in rows]
 
 

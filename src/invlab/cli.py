@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Optional
 
 from . import bench as bench_mod
 from .decycle import STRATEGIES, GadgetPlan, verify_family
@@ -60,6 +60,13 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json(path: str) -> Any:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _read_graph(path: str) -> OrientedGraph:
@@ -225,7 +232,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if (report.sizes_ok and report.acyclic) else 1
 
     if args.verb == "bench":
-        spec = json.loads(_read_text(args.spec))
+        spec = _read_json(args.spec)
         t0 = time.perf_counter()
         rows = bench_mod.bench_suite(spec, deterministic=args.deterministic)
         output = bench_mod.rows_to_csv(rows)
@@ -274,7 +281,7 @@ def _run_generate(args: argparse.Namespace) -> int:
         else:
             D = random_oriented_graph(n, args.density, args.seed)
     elif args.family == "mcc":
-        inst = mcc_instance_from_dict(json.loads(_read_text(_require(args.input, "--input"))))
+        inst = mcc_instance_from_dict(_read_json(_require(args.input, "--input")))
         red = mcc_reduction(inst)
         D, names = red.graph, red.names
         payload = graph_to_json(D)
@@ -282,7 +289,7 @@ def _run_generate(args: argparse.Namespace) -> int:
         H = (
             k33_hypergraph()
             if args.k33
-            else hypergraph_from_dict(json.loads(_read_text(_require(args.input, "--input"))))
+            else hypergraph_from_dict(_read_json(_require(args.input, "--input")))
         )
         p = _require(args.p, "--p")
         red = shec_reduction(H, p)
@@ -292,7 +299,7 @@ def _run_generate(args: argparse.Namespace) -> int:
         H = (
             k33_hypergraph()
             if args.k33
-            else hypergraph_from_dict(json.loads(_read_text(_require(args.input, "--input"))))
+            else hypergraph_from_dict(_read_json(_require(args.input, "--input")))
         )
         lift = hypergraph_lift(H)
         names = lift.names

@@ -9,6 +9,7 @@ return new graphs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,8 +22,11 @@ EXACT = "eq"
 AT_MOST = "leq"
 
 # largest vertex count fas_exact accepts; feedback_arc_set switches to the
-# heuristic above it
+# heuristic above it.  Its DP values fit uint8: a candidate is at most
+# C(20,2) + 19 = 209 < 255.
 FAS_EXACT_LIMIT = 20
+# subsets per vectorized fas_exact step; bounds the DP's temporaries
+_FAS_CHUNK = 1 << 15
 # candidate columns per acyclic_columns call; bounds the batch arrays' memory
 ACYCLIC_CHUNK = 1 << 12
 
@@ -292,6 +296,15 @@ def out_even_count(D: OrientedGraph) -> int:
 def fas_exact(D: OrientedGraph) -> FasResult:
     """Minimum feedback arc set by dynamic programming over vertex subsets.
 
+    dp[t] is the fewest backward arcs with head in t over orderings that
+    start with t: the minimum over v in t of dp[t - v] + |in(v) - t|.  It
+    is computed with numpy one popcount layer at a time, in chunks of
+    _FAS_CHUNK subsets.  dp (uint8, 2^n bytes: 1 MiB at n = 20) is the only
+    full-size array; the two live layers are uint32 and at most 0.75 MiB
+    each.  No choice table is kept: the walk back from the full set
+    recomputes the last vertex of each prefix, taking the largest
+    minimizing v.
+
     Exponential in n; refuses above FAS_EXACT_LIMIT vertices (use
     fas_heuristic there instead).  The returned arcs are the backward arcs of
     the returned ordering.
@@ -305,37 +318,58 @@ def fas_exact(D: OrientedGraph) -> FasResult:
     if n == 0:
         return FasResult(0, (), (), True)
     full = (1 << n) - 1
-    size = 1 << n
-    in_masks = D.in_masks()
-    INF = 255
-    dp = bytearray([INF]) * size
-    choice = bytearray(size)
+    ins = D.in_masks()
+    in_arr = np.array(ins, dtype=np.uint32)
+    dp = np.empty(1 << n, dtype=np.uint8)
     dp[0] = 0
-    for S in range(size):
-        base = dp[S]
-        if base == INF:
-            continue
-        rest = full ^ S
-        free = rest
-        while free:
-            b = free & -free
-            v = b.bit_length() - 1
-            free ^= b
-            cost = base + (in_masks[v] & rest).bit_count()
-            t = S | b
-            if cost < dp[t]:
-                dp[t] = cost
-                choice[t] = v
+    layer = np.zeros(1, dtype=np.uint32)
+    for j in range(1, n + 1):
+        layer = _next_subset_layer(layer, n, j)
+        for lo in range(0, layer.size, _FAS_CHUNK):
+            t = layer[lo:lo + _FAS_CHUNK]
+            outside = ~t & full
+            rest = t
+            best = np.full(t.size, 255, dtype=np.uint8)
+            for _ in range(j):  # each member v of t in turn, as rest's lowest bit
+                higher = rest & (rest - 1)
+                low = rest ^ higher  # 1 << v
+                rest = higher
+                v = np.bitwise_count(low - 1)
+                cost = dp[t ^ low] + np.bitwise_count(in_arr[v] & outside)
+                np.minimum(best, cost, out=best)
+            dp[t] = best
+    # walk back from the full set: the last vertex of each prefix is the
+    # largest v attaining its minimum, the tie rule of the forward DP
     order_rev = []
     S = full
     while S:
-        v = choice[S]
+        outside = full ^ S
+        v = max(
+            v for v in _bits(S)
+            if int(dp[S ^ 1 << v]) + (ins[v] & outside).bit_count() == dp[S]
+        )
         order_rev.append(v)
         S ^= 1 << v
     ordering = tuple(reversed(order_rev))
     arcs = tuple(backward_arcs(D, ordering))
-    assert len(arcs) == dp[full]
-    return FasResult(dp[full], arcs, ordering, True)
+    size = int(dp[full])
+    assert len(arcs) == size
+    return FasResult(size, arcs, ordering, True)
+
+
+def _next_subset_layer(prev: np.ndarray, n: int, j: int) -> np.ndarray:
+    """All j-subsets of range(n) as ascending uint32 masks, from the ascending
+    (j-1)-subsets ``prev``: each gets one vertex above its top bit, so every
+    j-subset is made once, grouped by ascending top bit."""
+    layer = np.empty(math.comb(n, j), dtype=np.uint32)
+    pos = 0
+    for v in range(j - 1, n):
+        # members of prev below 2^v; a uint32 key keeps prev from being
+        # copied to int64
+        k = int(np.searchsorted(prev, np.uint32(1 << v)))
+        np.bitwise_or(prev[:k], 1 << v, out=layer[pos:pos + k])
+        pos += k
+    return layer
 
 
 def fas_heuristic(D: OrientedGraph) -> FasResult:

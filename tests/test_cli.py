@@ -342,6 +342,26 @@ class TestCliMalformedInput:
         with pytest.raises(CapacityError):
             graph_from_json(json.dumps({"n": n + 1, "arcs": []}))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [{"generator": {"kind": "tt", "n": 6}, "p": 4}],
+            [{"generator": {"kind": "random_tournament"}, "p": 4, "strategy": "fas"}],
+            {"rows": [{"generator": {"kind": "tt", "n": 6}, "p": 4, "strategy": "fas"}]},
+            [{"generator": {"kind": "tt", "n": 6}, "p": "4", "strategy": "fas"}],
+            [{"generator": {"kind": "tt", "n": 6}, "p": True, "strategy": "fas"}],
+            [{"generator": "tt", "p": 4, "strategy": "fas"}],
+            [7],
+            "[{",
+        ],
+    )
+    def test_malformed_bench_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(path))
+        assert code == 4 and out == ""
+        assert "input error" in err and "Traceback" not in err
+
 
 class TestBench:
     def test_empty_spec(self):

@@ -1,6 +1,7 @@
 """Graph-core: inversion/push primitives, acyclicity, feedback arc sets."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from invlab.errors import CapacityError, InputError
 from invlab.graphs import (
     AT_MOST,
     EXACT,
+    FasResult,
     InversionFamily,
     OrientedGraph,
     apply_family,
@@ -177,6 +179,92 @@ class TestFasExact:
     def test_capacity(self):
         with pytest.raises(CapacityError, match="fas_heuristic"):
             fas_exact(transitive_tournament(25))
+
+
+def _reference_fas_exact(D):
+    """The forward bytearray subset DP that fas_exact must reproduce
+    exactly: ties go to the largest v, the first candidate of a subset t
+    reached from the smallest t - v under the strict `<`."""
+    n = D.n
+    if n == 0:
+        return FasResult(0, (), (), True)
+    full = (1 << n) - 1
+    size = 1 << n
+    in_masks = D.in_masks()
+    INF = 255
+    dp = bytearray([INF]) * size
+    choice = bytearray(size)
+    dp[0] = 0
+    for S in range(size):
+        base = dp[S]
+        if base == INF:
+            continue
+        rest = full ^ S
+        free = rest
+        while free:
+            b = free & -free
+            v = b.bit_length() - 1
+            free ^= b
+            cost = base + (in_masks[v] & rest).bit_count()
+            t = S | b
+            if cost < dp[t]:
+                dp[t] = cost
+                choice[t] = v
+    order_rev = []
+    S = full
+    while S:
+        v = choice[S]
+        order_rev.append(v)
+        S ^= 1 << v
+    ordering = tuple(reversed(order_rev))
+    arcs = tuple(backward_arcs(D, ordering))
+    assert len(arcs) == dp[full]
+    return FasResult(dp[full], arcs, ordering, True)
+
+
+class TestFasExactMatchesReference:
+    @given(oriented_graphs(min_n=0, max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, D):
+        assert fas_exact(D) == _reference_fas_exact(D)
+
+    def test_pipeline_scale(self):
+        for n in range(14, 19):
+            for seed in range(2):
+                for D in (
+                    random_tournament(n, seed),
+                    random_oriented_graph(n, 0.8, seed),
+                ):
+                    assert fas_exact(D) == _reference_fas_exact(D)
+
+    def test_limit_size(self):
+        D = random_oriented_graph(20, 0.8, 7)
+        assert fas_exact(D) == _reference_fas_exact(D)
+
+    def test_ties(self):
+        # every ordering (or every rotation) is optimal, so only the tie rule
+        # fixes the result
+        for n in range(0, 16):
+            for D in (
+                OrientedGraph.from_arcs(n, []),
+                transitive_tournament(n),
+                invert(transitive_tournament(n), range(n)),
+            ):
+                assert fas_exact(D) == _reference_fas_exact(D)
+        for n in range(3, 16):
+            D = directed_cycle(n)
+            assert fas_exact(D) == _reference_fas_exact(D)
+
+    def test_memory_peak(self):
+        D = random_tournament(20, 3)
+        fas_exact(random_tournament(4, 0))  # numpy's lazy set-up is not the DP's
+        tracemalloc.start()
+        try:
+            fas_exact(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFasHeuristic:

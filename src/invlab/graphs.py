@@ -45,6 +45,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Row masks of a 0/1 matrix: bit v of row u is entry [u, v]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    rows, width = packed.shape
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(rows)
+    ]
+
+
 @dataclass(frozen=True)
 class OrientedGraph:
     """Digon-free digraph; ``out[v]`` is the bitmask of heads of arcs leaving v."""
@@ -83,19 +93,20 @@ class OrientedGraph:
     def out_degrees(self) -> list[int]:
         return [m.bit_count() for m in self.out]
 
+    def bit_matrix(self) -> np.ndarray:
+        """The (n, n) uint8 adjacency matrix: entry [u, v] is 1 iff u -> v."""
+        n = self.n
+        width = (n + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self.out)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
     def in_masks(self) -> list[int]:
-        ins = [0] * self.n
-        for u in range(self.n):
-            for v in _bits(self.out[u]):
-                ins[v] |= 1 << u
-        return ins
+        return _pack_rows(self.bit_matrix().T)
 
     def underlying_masks(self) -> list[int]:
-        und = list(self.out)
-        for u in range(self.n):
-            for v in _bits(self.out[u]):
-                und[v] |= 1 << u
-        return und
+        A = self.bit_matrix()
+        return _pack_rows(A | A.T)
 
     def underlying_pairs(self) -> list[tuple[int, int]]:
         """Edges of the underlying undirected graph, lexicographically sorted."""
@@ -192,19 +203,25 @@ def push(D: OrientedGraph, X: Iterable[int]) -> OrientedGraph:
 def topological_order(D: OrientedGraph) -> Optional[list[int]]:
     """Smallest-index-first Kahn ordering, or None if D has a directed cycle."""
     indeg = [0] * D.n
-    for u in range(D.n):
-        for v in _bits(D.out[u]):
-            indeg[v] += 1
+    for m in D.out:
+        while m:
+            b = m & -m
+            indeg[b.bit_length() - 1] += 1
+            m ^= b
     heap = [v for v in range(D.n) if indeg[v] == 0]
     heapq.heapify(heap)
     order = []
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in _bits(D.out[u]):
+        m = D.out[u]
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
+            m ^= b
     return order if len(order) == D.n else None
 
 
@@ -284,8 +301,18 @@ def is_tournament(D: OrientedGraph) -> bool:
 
 
 def backward_arcs(D: OrientedGraph, ordering: Sequence[int]) -> list[tuple[int, int]]:
-    pos = {v: i for i, v in enumerate(ordering)}
-    return [(u, v) for u, v in D.arcs() if pos[u] > pos[v]]
+    """Arcs (u, v) with u after v in ``ordering`` (a permutation of D's
+    vertices), in ``D.arcs()`` order."""
+    return _backward_arcs(D.bit_matrix(), ordering)
+
+
+def _backward_arcs(A: np.ndarray, ordering: Sequence[int]) -> list[tuple[int, int]]:
+    n = A.shape[0]
+    pos = np.empty(n, dtype=np.intp)
+    pos[list(ordering)] = np.arange(n)
+    # nonzero walks row-major: by tail, then head, the order of D.arcs()
+    tails, heads = np.nonzero(A & (pos[:, None] > pos[None, :]))
+    return list(zip(tails.tolist(), heads.tolist()))
 
 
 def out_even_count(D: OrientedGraph) -> int:
@@ -378,14 +405,15 @@ def fas_heuristic(D: OrientedGraph) -> FasResult:
 
     Each sweep moves every vertex v in turn to the first slot that minimises
     its backward arcs, when that is strictly fewer than where it stands.
+    The in-degrees, the arc signs and the returned backward arcs (in
+    ``D.arcs()`` order) come from ``D.bit_matrix()``.
     """
     n = D.n
-    ins = D.in_masks()
-    indeg = [m.bit_count() for m in ins]
+    A = D.bit_matrix()
+    indeg = A.sum(axis=0).tolist()
     # sign[v][w]: +1 for v->w, -1 for w->v, 0 for a non-edge
-    sign = [
-        [(D.out[v] >> w & 1) - (ins[v] >> w & 1) for w in range(n)] for v in range(n)
-    ]
+    S = A.view(np.int8)
+    sign = (S - S.T).tolist()
     order = sorted(range(n), key=lambda v: (-D.out_degree(v), v))
     improved = True
     while improved:
@@ -400,7 +428,7 @@ def fas_heuristic(D: OrientedGraph) -> FasResult:
                 others.insert(b.index(best), v)
                 order = others
                 improved = True
-    arcs = tuple(backward_arcs(D, order))
+    arcs = tuple(_backward_arcs(A, order))
     return FasResult(len(arcs), arcs, tuple(order), False)
 
 
@@ -414,9 +442,11 @@ def delete_vertex(D: OrientedGraph, z: int) -> OrientedGraph:
     """Remove vertex z; vertices above z shift down by one."""
     if not 0 <= z < D.n:
         raise InputError(f"vertex {z} out of range")
-    relabel = lambda v: v - (v > z)
-    arcs = [(relabel(u), relabel(v)) for u, v in D.arcs() if u != z and v != z]
-    return OrientedGraph.from_arcs(D.n - 1, arcs)
+    # bits below z stay, bits above shift down one; bit z falls into low
+    # and is masked off
+    low = (1 << z) - 1
+    out = tuple((m & low) | (m >> 1 & ~low) for v, m in enumerate(D.out) if v != z)
+    return OrientedGraph(D.n - 1, out)
 
 
 def induced_subgraph(D: OrientedGraph, vertices: Sequence[int]) -> OrientedGraph:

@@ -12,17 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InputError
 from .graphs import (
     OrientedGraph,
     delete_vertex,
     feedback_arc_set,
-    invert,
     is_acyclic,
     is_tournament,
-    topological_order,
 )
 
 
@@ -87,21 +85,39 @@ def canonical_no_instance(p: int, k: int) -> OrientedGraph:
     return OrientedGraph.from_arcs(n, arcs)
 
 
+def _flipped_degrees(T: OrientedGraph, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """Out-degrees of T with every arc in ``arcs`` reversed."""
+    deg = T.out_degrees()
+    for u, v in arcs:
+        deg[u] -= 1
+        deg[v] += 1
+    return deg
+
+
 def _arc_minimal(T: OrientedGraph, arcs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """Drop arcs whose removal from the feedback set keeps it feasible."""
+    """Drop arcs whose removal from the feedback set keeps it feasible.
+
+    Arcs are tried in order; after each drop the scan restarts from the
+    first remaining arc, until a full scan drops nothing.  T must be a
+    tournament: reversing arcs keeps it one, and a tournament is acyclic iff
+    its out-degrees are pairwise distinct, so each trial un-reverses one arc
+    in an out-degree list and counts the distinct degrees.
+    """
+    n = T.n
+    deg = _flipped_degrees(T, arcs)
     current = list(arcs)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(current):
-            rest = [x for x in current if x != a]
-            flipped = T
-            for u, v in rest:
-                flipped = invert(flipped, {u, v})
-            if is_acyclic(flipped):
-                current = rest
-                changed = True
-                break
+    i = 0
+    while i < len(current):
+        u, v = current[i]
+        deg[u] += 1
+        deg[v] -= 1
+        if len(set(deg)) == n:
+            del current[i]
+            i = 0
+        else:
+            deg[u] -= 1
+            deg[v] += 1
+            i += 1
     return current
 
 
@@ -120,11 +136,11 @@ def delvertex_step(T: OrientedGraph, cfg: KernelConfig) -> StepOutcome:
             fas_exact=fas.exact,
         )
     minimal = _arc_minimal(T, fas.arcs)
-    stripped = T
-    for u, v in minimal:
-        stripped = invert(stripped, {u, v})
-    sigma = topological_order(stripped)
-    assert sigma is not None
+    # reversing the minimal set leaves a transitive tournament, whose only
+    # topological order is by out-degree, highest first
+    deg = _flipped_degrees(T, minimal)
+    assert len(set(deg)) == T.n
+    sigma = sorted(range(T.n), key=deg.__getitem__, reverse=True)
     pos = {v: i for i, v in enumerate(sigma)}
     assert all(pos[b] < pos[a] for a, b in minimal)
     endpoints = {v for arc in minimal for v in arc}

@@ -1,8 +1,14 @@
 """Shared hypothesis strategies for small graph instances."""
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from invlab.graphs import OrientedGraph
+
+# CI runs the suite with --hypothesis-profile=ci: reproducible examples, more
+# of them for tests that leave max_examples to the profile, and no deadline
+# on shared runners
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=500)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Kernelization: step semantics, thresholds, answer preservation."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,32 @@ class TestKernelize:
     def test_non_tournament_rejected(self):
         with pytest.raises(InputError):
             kernelize(OrientedGraph.from_arcs(3, [(0, 1)]), KernelConfig(p=3, k=1))
+
+
+def _one_set_plant(seed):
+    """A shuffled transitive tournament with one 3-set X inverted inside a
+    window of w consecutive vertices; inverting X again makes it acyclic."""
+    rng = random.Random(seed)
+    n = rng.randint(51, 60)
+    w = rng.choice([4, 6, 8, 12])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    T = OrientedGraph.from_arcs(
+        n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    )
+    s = rng.randrange(n - w)
+    X = [perm[s + i] for i in rng.sample(range(w), 3)]
+    return invert(T, X), X
+
+
+# Known defect: delvertex_step declares a no-instance when the heuristic FAS
+# exceeds (1 + eps) k C(p, 2), but the heuristic can overshoot the minimum.
+# On these plants it finds 4 arcs against a step bound of 3.75, although one
+# 3-set decycles them.  Drop the marker once no-instances are certified.
+@pytest.mark.parametrize("seed", [489, 546, 1192, 1310])
+@pytest.mark.xfail(strict=True, reason="heuristic FAS overshoot yields a false no-instance")
+def test_one_set_plants_are_no_false_no_instances(seed):
+    T, X = _one_set_plant(seed)
+    assert is_acyclic(invert(T, X))
+    res = kernelize(T, KernelConfig(3, 1, Fraction(1, 2)))
+    assert all(s.kind != "no-instance" for s in res.steps)

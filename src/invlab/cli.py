@@ -223,6 +223,7 @@ def _run(args: argparse.Namespace) -> int:
                 {
                     "sizes_ok": report.sizes_ok,
                     "acyclic": report.acyclic,
+                    "cycle": None if report.cycle is None else list(report.cycle),
                     "net_flip": [list(a) for a in report.net_flip],
                     "count": report.count,
                 },

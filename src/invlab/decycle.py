@@ -23,6 +23,7 @@ from .graphs import (
     OrientedGraph,
     apply_family,
     feedback_arc_set,
+    find_cycle,
     induced_subgraph,
     invert,
     is_acyclic,
@@ -412,13 +413,9 @@ def greedy_reduce(
         raise InputError("ordering must be a permutation of the vertices")
     current = D
     sets: list[frozenset[int]] = []
-    pos = {v: i for i, v in enumerate(order)}
     for k in range(n - p):
         vk = order[k]
-        tails = sorted(
-            (u for u, v in current.arcs() if v == vk and pos[u] > k),
-            key=lambda u: pos[u],
-        )
+        tails = [u for u in order[k + 1:] if current.out[u] >> vk & 1]
         batches = len(tails) // (p - 1)
         for i in range(batches):
             X = frozenset([vk] + tails[i * (p - 1):(i + 1) * (p - 1)])
@@ -591,6 +588,8 @@ class FamilyReport:
     acyclic: bool
     net_flip: tuple[tuple[int, int], ...]
     count: int
+    # a directed cycle of the result, None when it is acyclic
+    cycle: Optional[tuple[int, ...]]
 
 
 def verify_family(
@@ -608,9 +607,11 @@ def verify_family(
         raise InputError(f"unknown mode {mode!r}")
     result = apply_family(D, InversionFamily(family.sets, max(p, D.n), AT_MOST))
     flipped = tuple((u, v) for u, v in D.arcs() if result.has_arc(v, u))
+    cycle = find_cycle(result)
     return FamilyReport(
         sizes_ok=sizes_ok,
-        acyclic=is_acyclic(result),
+        acyclic=cycle is None,
         net_flip=flipped,
         count=len(family.sets),
+        cycle=None if cycle is None else tuple(cycle),
     )

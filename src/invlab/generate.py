@@ -387,38 +387,3 @@ def lift_colouring(H: Hypergraph, colours: Sequence[int]) -> tuple[int, ...]:
         rows.extend([alpha] * p)
         cols.extend([beta] * p)
     return tuple(grid + rows + cols)
-
-
-@dataclass(frozen=True)
-class WitnessCheck:
-    contains_pair: bool
-    residual_cycle: Optional[tuple[int, ...]]
-
-
-def triangle_cycle_witness_check(
-    D: OrientedGraph, u: int, v: int, family: InversionFamily, p: int
-) -> WitnessCheck:
-    """On instances where the arc uv sits on p*|family|+1 triangles meeting
-    pairwise in exactly {u,v}, a decycling family must contain {u,v} in some
-    member; reports a surviving triangle otherwise."""
-    if not D.has_arc(u, v):
-        raise InputError(f"({u},{v}) is not an arc")
-    if any(len(X) > p for X in family.sets):
-        raise InputError("family members must have size at most p")
-    k = len(family.sets)
-    need = p * k + 1
-    thirds = [
-        w
-        for w in range(D.n)
-        if w not in (u, v) and D.has_arc(v, w) and D.has_arc(w, u)
-    ]
-    if len(thirds) < need:
-        raise InputError(
-            f"only {len(thirds)} triangles through ({u},{v}); need {need}"
-        )
-    contains = any({u, v} <= X for X in family.sets)
-    if contains:
-        return WitnessCheck(True, None)
-    touched = set().union(*family.sets) if family.sets else set()
-    survivor = next(w for w in thirds if w not in touched)
-    return WitnessCheck(False, (u, v, survivor))

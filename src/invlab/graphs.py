@@ -130,13 +130,15 @@ class InversionFamily:
             raise InputError(f"unknown family mode {self.mode!r}")
         if self.p < 0:
             raise InputError("p must be nonnegative")
+        p, exact = self.p, self.mode == EXACT
         for X in self.sets:
-            if any(not (0 <= v < n) for v in X):
+            if X and (min(X) < 0 or max(X) >= n):
                 raise InputError(f"set {sorted(X)} out of range for n={n}")
-            if self.mode == EXACT and len(X) != self.p:
-                raise ModeError(f"set of size {len(X)} in (={self.p})-family")
-            if self.mode == AT_MOST and len(X) > self.p:
-                raise ModeError(f"set of size {len(X)} in (<={self.p})-family")
+            if exact:
+                if len(X) != p:
+                    raise ModeError(f"set of size {len(X)} in (={p})-family")
+            elif len(X) > p:
+                raise ModeError(f"set of size {len(X)} in (<={p})-family")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -226,47 +228,38 @@ def topological_order(D: OrientedGraph) -> Optional[list[int]]:
 
 
 def find_cycle(D: OrientedGraph) -> Optional[list[int]]:
-    """A directed cycle as a vertex list, or None when D is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * D.n
-    stack: list[int] = []
-    on_stack = [False] * D.n
+    """A directed cycle as a vertex list, or None when D is acyclic.
 
-    def dfs(root: int) -> Optional[list[int]]:
-        iters = [(root, _bits(D.out[root]))]
-        color[root] = GRAY
-        stack.append(root)
-        on_stack[root] = True
-        while iters:
-            u, it = iters[-1]
-            advanced = False
-            for v in it:
-                if color[v] == WHITE:
-                    color[v] = GRAY
-                    stack.append(v)
-                    on_stack[v] = True
-                    iters.append((v, _bits(D.out[v])))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    return stack[stack.index(v):]
-            if not advanced:
-                color[u] = BLACK
-                on_stack[u] = False
-                stack.pop()
-                iters.pop()
-        return None
-
-    for s in range(D.n):
-        if color[s] == WHITE:
-            cyc = dfs(s)
-            if cyc is not None:
-                return cyc
+    Depth-first search over bitmasks: D has a cycle iff some vertex, when it
+    finishes, still has an arc to a vertex w on the stack; the stack from w
+    up to that vertex is then the cycle.
+    """
+    out = D.out
+    unseen = (1 << D.n) - 1
+    while unseen:
+        b = unseen & -unseen
+        unseen ^= b
+        on_stack = b
+        stack = [b.bit_length() - 1]
+        while stack:
+            u = stack[-1]
+            nxt = out[u] & unseen
+            if nxt:
+                b = nxt & -nxt
+                unseen ^= b
+                on_stack |= b
+                stack.append(b.bit_length() - 1)
+                continue
+            back = out[u] & on_stack
+            if back:
+                return stack[stack.index((back & -back).bit_length() - 1):]
+            on_stack ^= 1 << u
+            stack.pop()
     return None
 
 
 def is_acyclic(D: OrientedGraph) -> bool:
-    return topological_order(D) is not None
+    return find_cycle(D) is None
 
 
 def acyclic_columns(out: np.ndarray) -> np.ndarray:

@@ -109,15 +109,6 @@ class StateSpace:
     def m(self) -> int:
         return len(self.edges)
 
-    def decode(self, state: int) -> OrientedGraph:
-        out = [0] * self.graph.n
-        for i, (u, v) in enumerate(self.edges):
-            tail, head = (u, v) if self.graph.has_arc(u, v) else (v, u)
-            if state >> i & 1:
-                tail, head = head, tail
-            out[tail] |= 1 << head
-        return OrientedGraph(self.graph.n, tuple(out))
-
 
 def state_space(
     D: OrientedGraph, p: int, mode: str = EXACT, cap_bits: Optional[int] = None

@@ -210,22 +210,45 @@ def minimize_family(D1: OrientedGraph, family: InversionFamily) -> InversionFami
     linearly independent; the result is a subfamily with identical net effect
     and at most |E(UG(D1))| members.
 
+    A set's restriction comes from a per-graph pair-bit table: the pairs j
+    forms with lower vertices fill the bits from j(j-1)/2 on, so with
+    ``low[j]`` the underlying neighbours of j below j, the restriction of X
+    is the OR over j in X of ``mask(X) & low[j]`` shifted to that block.
+
     One pass: a restriction that depends on the kept members before it is
     dropped with its combo, unique because those members are independent,
     and the basis is downdated rather than rebuilt; so the output equals
-    restarting the elimination after every dependency.
+    restarting the elimination after every dependency.  Pivot rows are keyed
+    by their highest set bit: gadget sets share their low helper vertices
+    and differ in their top pairs, so this takes far fewer reduction steps
+    than lowest-bit pivots and keeps the combos sparse.
     """
     family.validate(D1.n)
-    edges = D1.underlying_pairs()
-    edge_mask = PairVector.from_pairs(D1.n, edges).bits
+    table = [
+        (m & ((1 << j) - 1), j * (j - 1) // 2)
+        for j, m in enumerate(D1.underlying_masks())
+    ]
     sets = family.sets
     pivots: dict[int, tuple[int, int]] = {}
     dropped = 0
     for i, X in enumerate(sets):
-        restricted = encode_set(X, D1.n).bits & edge_mask
-        vec, combo, pos = _reduce(restricted, 1 << i, pivots)
+        xm = 0
+        for v in X:
+            xm |= 1 << v
+        vec = 0
+        for v in X:
+            low, shift = table[v]
+            vec |= (xm & low) << shift
+        combo = 1 << i
+        while vec:
+            top = vec.bit_length()
+            row = pivots.get(top)
+            if row is None:
+                break
+            vec ^= row[0]
+            combo ^= row[1]
         if vec:
-            pivots[pos] = (vec, combo)
+            pivots[top] = (vec, combo)
             continue
         dropped |= combo
         combo ^= 1 << i
@@ -233,14 +256,14 @@ def minimize_family(D1: OrientedGraph, family: InversionFamily) -> InversionFami
             k = combo & -combo
             combo ^= k
             # eliminate member k from the basis; XORing in the row with the
-            # highest pivot leaves every other row's lowest bit in place
+            # lowest pivot leaves every other row's highest bit in place
             rows = [q for q, (_, c) in pivots.items() if c & k]
-            top = max(rows)
-            tv, tc = pivots.pop(top)
+            bottom = min(rows)
+            bv, bc = pivots.pop(bottom)
             for q in rows:
-                if q != top:
+                if q != bottom:
                     v, c = pivots[q]
-                    pivots[q] = (v ^ tv, c ^ tc)
+                    pivots[q] = (v ^ bv, c ^ bc)
     kept = tuple(X for i, X in enumerate(sets) if not dropped >> i & 1)
-    assert len(kept) <= len(edges)
+    assert len(kept) <= D1.arc_count
     return InversionFamily(kept, family.p, family.mode)

@@ -17,7 +17,7 @@ from invlab.decycle import (
 )
 from invlab import serialize as serialize_mod
 from invlab.errors import CapacityError, InputError
-from invlab.graphs import EXACT, InversionFamily, OrientedGraph
+from invlab.graphs import EXACT, InversionFamily, OrientedGraph, apply_family
 from invlab.generate import random_oriented_graph, random_tournament, transitive_tournament
 from invlab.serialize import (
     MAX_VERTICES,
@@ -149,6 +149,25 @@ class TestCliVerbs:
         assert code == 0
         report = json.loads(out)
         assert report["acyclic"] and report["sizes_ok"]
+        assert report["cycle"] is None
+
+    def test_verify_reports_cycle(self, tmp_path, capsys):
+        # one 4-set does not decycle this tournament
+        D = random_tournament(9, 3)
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(D))
+        fam = tmp_path / "fam.json"
+        fam.write_text(family_to_json(InversionFamily((frozenset({0, 1, 2, 3}),), 4, EXACT)))
+        code, out, _ = run_cli(
+            capsys, "verify", "--p", "4", "--graph", str(g), "--family", str(fam)
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["sizes_ok"] and not report["acyclic"]
+        cycle = report["cycle"]
+        result = apply_family(D, InversionFamily((frozenset({0, 1, 2, 3}),), 4, EXACT))
+        assert len(set(cycle)) == len(cycle) >= 3
+        assert all(result.has_arc(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_decycle_strategy_matches_public_pipeline(self, strategy, tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""The graph primitives and the kernel step against their per-bit loop forms.
+"""The graph primitives, the kernel step, family minimization and the greedy
+sweep against their earlier forms.
 
 Each ``_reference_*`` below is the straightforward loop that the library's
-bit-matrix, bit-surgery and out-degree versions replaced, kept verbatim
-apart from calling the other references.  The library must return equal
-values: the same FasResult, graph, StepOutcome and KernelResult.
+bit-matrix, bit-surgery, out-degree and pair-bit-table versions replaced,
+kept verbatim apart from calling the other references.  The library must
+return equal values: the same FasResult, graph, StepOutcome, KernelResult,
+minimized family and GreedyReduction, and the same errors.
 """
 
 import heapq
@@ -16,16 +18,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oriented_graphs, tournaments
-from invlab.errors import InputError
+from invlab.decycle import (
+    CYCLE_FIRST,
+    PAIRWISE,
+    GreedyReduction,
+    greedy_reduce,
+    reverse_arc_set,
+)
+from invlab.errors import InputError, ModeError, UnsupportedRangeError
 from invlab.graphs import (
+    AT_MOST,
+    EXACT,
     FAS_EXACT_LIMIT,
     FasResult,
+    InversionFamily,
     OrientedGraph,
+    apply_family,
     backward_arcs,
     delete_vertex,
     fas_exact,
     fas_heuristic,
+    feedback_arc_set,
+    find_cycle,
+    induced_subgraph,
     invert,
+    is_acyclic,
     topological_order,
 )
 from invlab.kernel import (
@@ -37,6 +54,7 @@ from invlab.kernel import (
     delvertex_step,
     kernelize,
 )
+from invlab.pairspace import PairVector, encode_set, minimize_family
 
 
 def _bits(mask):
@@ -218,6 +236,147 @@ def _reference_kernelize(T, cfg):
     return KernelResult(current, False, None, tuple(steps))
 
 
+def _reference_validate(family, n):
+    if family.mode not in (EXACT, AT_MOST):
+        raise InputError(f"unknown family mode {family.mode!r}")
+    if family.p < 0:
+        raise InputError("p must be nonnegative")
+    for X in family.sets:
+        if any(not (0 <= v < n) for v in X):
+            raise InputError(f"set {sorted(X)} out of range for n={n}")
+        if family.mode == EXACT and len(X) != family.p:
+            raise ModeError(f"set of size {len(X)} in (={family.p})-family")
+        if family.mode == AT_MOST and len(X) > family.p:
+            raise ModeError(f"set of size {len(X)} in (<={family.p})-family")
+
+
+def _reference_reduce(vec, combo, pivots):
+    """Cancel lowest set bits against pivots; returns (vec, combo, open position)."""
+    while vec:
+        pos = (vec & -vec).bit_length() - 1
+        if pos not in pivots:
+            return vec, combo, pos
+        pv, pc = pivots[pos]
+        vec ^= pv
+        combo ^= pc
+    return 0, combo, None
+
+
+def _reference_minimize_family(D1, family):
+    _reference_validate(family, D1.n)
+    edges = D1.underlying_pairs()
+    edge_mask = PairVector.from_pairs(D1.n, edges).bits
+    sets = family.sets
+    pivots = {}
+    dropped = 0
+    for i, X in enumerate(sets):
+        restricted = encode_set(X, D1.n).bits & edge_mask
+        vec, combo, pos = _reference_reduce(restricted, 1 << i, pivots)
+        if vec:
+            pivots[pos] = (vec, combo)
+            continue
+        dropped |= combo
+        combo ^= 1 << i
+        while combo:
+            k = combo & -combo
+            combo ^= k
+            # eliminate member k from the basis; XORing in the row with the
+            # highest pivot leaves every other row's lowest bit in place
+            rows = [q for q, (_, c) in pivots.items() if c & k]
+            top = max(rows)
+            tv, tc = pivots.pop(top)
+            for q in rows:
+                if q != top:
+                    v, c = pivots[q]
+                    pivots[q] = (v ^ tv, c ^ tc)
+    kept = tuple(X for i, X in enumerate(sets) if not dropped >> i & 1)
+    assert len(kept) <= len(edges)
+    return InversionFamily(kept, family.p, family.mode)
+
+
+def _reference_greedy_reduce(D, p, ordering=None):
+    if p < 2:
+        raise InputError("p must be at least 2")
+    n = D.n
+    if n < p:
+        raise UnsupportedRangeError(f"need n >= p (got n={n}, p={p})")
+    order = list(ordering) if ordering is not None else list(range(n))
+    if sorted(order) != list(range(n)):
+        raise InputError("ordering must be a permutation of the vertices")
+    current = D
+    sets = []
+    pos = {v: i for i, v in enumerate(order)}
+    for k in range(n - p):
+        vk = order[k]
+        tails = sorted(
+            (u for u, v in current.arcs() if v == vk and pos[u] > k),
+            key=lambda u: pos[u],
+        )
+        batches = len(tails) // (p - 1)
+        for i in range(batches):
+            X = frozenset([vk] + tails[i * (p - 1):(i + 1) * (p - 1)])
+            sets.append(X)
+            current = invert(current, X)
+    tail_vertices = order[n - p:]
+    tail_fas = feedback_arc_set(induced_subgraph(current, tail_vertices))
+    tail_order = [tail_vertices[i] for i in tail_fas.ordering]
+    cert = tuple(order[: n - p] + tail_order)
+    family = InversionFamily(tuple(sets), p, EXACT)
+    assert len(family) <= D.arc_count // (p - 1)
+    return GreedyReduction(family, current, cert)
+
+
+@st.composite
+def dense_graphs(draw, min_n=6, max_n=30):
+    """Oriented graphs whose pairs are edges with probability 0.3-1."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    density = draw(st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < density
+    ]
+    return OrientedGraph.from_arcs(n, arcs)
+
+
+def _edgeless_set(D, size, rng):
+    """Up to ``size`` pairwise non-adjacent vertices of D, in a random greedy order."""
+    und = D.underlying_masks()
+    order = list(range(D.n))
+    rng.shuffle(order)
+    chosen, blocked = [], 0
+    for v in order:
+        if len(chosen) < size and not blocked >> v & 1:
+            chosen.append(v)
+            blocked |= und[v] | 1 << v
+    return frozenset(chosen)
+
+
+@st.composite
+def graphs_with_families(draw):
+    """Families with repeated sets and sets that span no edge of D."""
+    D = draw(dense_graphs())
+    mode = draw(st.sampled_from([EXACT, AT_MOST]))
+    p = draw(st.integers(min_value=2, max_value=6))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def fresh():
+        k = p if mode == EXACT else rng.randint(0, p)
+        return frozenset(rng.sample(range(D.n), k))
+
+    pool = [fresh() for _ in range(rng.randint(1, 6))]
+    edgeless = _edgeless_set(D, p if mode == EXACT else rng.randint(1, p), rng)
+    if len(edgeless) == p or mode == AT_MOST:
+        pool.append(edgeless)
+    sets = [
+        rng.choice(pool) if rng.random() < 0.5 else fresh()
+        for _ in range(rng.randint(0, 120))
+    ]
+    return D, InversionFamily(tuple(sets), p, mode)
+
+
 class TestGraphPrimitives:
     @given(oriented_graphs(min_n=0, max_n=30))
     @settings(deadline=None)
@@ -227,6 +386,11 @@ class TestGraphPrimitives:
         assert fas_heuristic(D) == _reference_fas_heuristic(D)
         # None on every cyclic graph, the same Kahn order on the rest
         assert topological_order(D) == _reference_topological_order(D)
+        assert is_acyclic(D) == _reference_is_acyclic(D)
+        cycle = find_cycle(D)
+        if cycle is not None:
+            assert len(set(cycle)) == len(cycle)
+            assert all(D.has_arc(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
     @given(oriented_graphs(min_n=0, max_n=30), st.randoms(use_true_random=False))
     @settings(deadline=None)
@@ -252,6 +416,7 @@ class TestGraphPrimitives:
             D.n, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in D.arcs()]
         )
         assert topological_order(dag) == _reference_topological_order(dag)
+        assert is_acyclic(dag)
 
 
 class TestKernelStep:
@@ -309,3 +474,67 @@ class TestKernelStep:
                 kinds.update(s.kind for s in res.steps)
         # the instances reach every branch of the step
         assert kinds == {"noop", "no-instance", "deleted"}
+
+
+class TestMinimizeAndSweep:
+    @given(graphs_with_families())
+    @settings(deadline=None)
+    def test_minimize_random_families(self, case):
+        D, fam = case
+        assert minimize_family(D, fam) == _reference_minimize_family(D, fam)
+
+    @given(dense_graphs(), st.sampled_from([2, 4, 6]), st.randoms(use_true_random=False))
+    @settings(deadline=None)
+    def test_minimize_gadget_families(self, D, p, rng):
+        # the families the pipelines minimize: gadgets reversing an even arc
+        # set, by both strategies
+        if D.n < p + 2:
+            return
+        arcs = D.arcs()
+        arcs = rng.sample(arcs, len(arcs) - len(arcs) % 2)[: 2 * rng.randint(0, 20)]
+        for strategy in (PAIRWISE, CYCLE_FIRST):
+            fam = reverse_arc_set(D, arcs, p, strategy)
+            assert minimize_family(D, fam) == _reference_minimize_family(D, fam)
+
+    @given(dense_graphs(), st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
+    @settings(deadline=None)
+    def test_greedy_reduce(self, D, p, rng):
+        assert greedy_reduce(D, p) == _reference_greedy_reduce(D, p)
+        ordering = list(range(D.n))
+        rng.shuffle(ordering)
+        assert greedy_reduce(D, p, ordering) == _reference_greedy_reduce(D, p, ordering)
+
+
+class TestValidateErrors:
+    """Malformed families raise the old validate's exception class and message
+    through every caller, before any vertex is used as a shift count."""
+
+    D = OrientedGraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    GOOD = frozenset({0, 1, 2, 3})
+    CASES = [
+        InversionFamily((GOOD, frozenset({-1, 0, 1, 2})), 4, EXACT),
+        InversionFamily((GOOD, frozenset({-3})), 4, AT_MOST),
+        InversionFamily((GOOD, frozenset({0, 1, 2, 6})), 4, EXACT),
+        InversionFamily((GOOD, frozenset({6})), 4, AT_MOST),
+        InversionFamily((GOOD, frozenset({0, 1, 2})), 4, EXACT),
+        InversionFamily((GOOD, frozenset({0, 1, 2, 3, 4})), 4, AT_MOST),
+        InversionFamily((GOOD,), 4, "lt"),
+        InversionFamily((GOOD,), -1, EXACT),
+    ]
+
+    @staticmethod
+    def _error(call):
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_same_errors(self):
+        for fam in self.CASES:
+            want = self._error(lambda: _reference_validate(fam, self.D.n))
+            assert want is not None and want[0] in (InputError, ModeError)
+            assert self._error(lambda: fam.validate(self.D.n)) == want
+            assert self._error(lambda: apply_family(self.D, fam)) == want
+            assert self._error(lambda: minimize_family(self.D, fam)) == want
+            assert self._error(lambda: _reference_minimize_family(self.D, fam)) == want

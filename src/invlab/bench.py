@@ -11,17 +11,11 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .decycle import STRATEGIES, greedy_reduce
 from .errors import CapacityError, InputError
-from .generate import (
-    diregular_tournament,
-    random_oriented_graph,
-    random_tournament,
-    reversed_arc_tournament,
-    transitive_tournament,
-)
+from .generate import build_graph
 from .graphs import (
     EXACT,
     InversionFamily,
@@ -78,26 +72,9 @@ def manifest_to_json(manifest: RunManifest) -> str:
     return json.dumps(asdict(manifest), sort_keys=True) + "\n"
 
 
-_GENERATORS: dict[str, Callable[..., OrientedGraph]] = {
-    "tt": lambda n, **kw: transitive_tournament(n),
-    "tn": lambda n, **kw: reversed_arc_tournament(n),
-    "diregular": lambda k, **kw: diregular_tournament(k),
-    "random_tournament": lambda n, seed=0, **kw: random_tournament(n, seed),
-    "random_oriented": lambda n, density=0.5, seed=0, **kw: random_oriented_graph(
-        n, density, seed
-    ),
-}
-
-
 def _build_instance(spec: dict) -> OrientedGraph:
-    kind = spec.get("kind")
-    if kind not in _GENERATORS:
-        raise InputError(f"unknown generator kind {kind!r}")
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        return _GENERATORS[kind](**kwargs)
-    except TypeError as exc:  # a missing, unknown or ill-typed field
-        raise InputError(f"bad {kind!r} generator {spec!r}: {exc}") from exc
+    fields = {k: v for k, v in spec.items() if k != "kind"}
+    return build_graph(spec.get("kind"), fields)
 
 
 def _check_row(row: Any) -> None:

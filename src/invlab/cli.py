@@ -19,15 +19,12 @@ from .decycle import STRATEGIES, GadgetPlan, verify_family
 from .decide import oriented_graph_invertible, tournaments_equivalent
 from .errors import CapacityError, InputError, UnsupportedRangeError
 from .generate import (
-    diregular_tournament,
+    GENERATORS,
+    build_graph,
     hypergraph_lift,
     k33_hypergraph,
     mcc_reduction,
-    random_oriented_graph,
-    random_tournament,
-    reversed_arc_tournament,
     shec_reduction,
-    transitive_tournament,
 )
 from .graphs import AT_MOST, EXACT, OrientedGraph, apply_family
 from .kernel import KernelConfig, kernelize
@@ -106,14 +103,11 @@ def _build_parser() -> _Parser:
     k.add_argument("input", nargs="?", default="-")
 
     g = sub.add_parser("generate", help="emit a structured instance")
-    g.add_argument(
-        "family",
-        choices=["tt", "tn", "diregular", "random", "mcc", "shec", "lift"],
-    )
+    g.add_argument("family", choices=[*GENERATORS, "mcc", "shec", "lift"])
     g.add_argument("--n", type=int)
     g.add_argument("--k", type=int)
-    g.add_argument("--density", type=float, default=0.5)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--density", type=float)
+    g.add_argument("--seed", type=int)
     g.add_argument("--p", type=int)
     g.add_argument("--input", default=None, help="instance JSON for mcc/shec/lift")
     g.add_argument("--k33", action="store_true", help="use the builtin K_{3,3}")
@@ -269,18 +263,18 @@ def _run(args: argparse.Namespace) -> int:
 def _run_generate(args: argparse.Namespace) -> int:
     names: Optional[tuple[str, ...]] = None
     payload: Optional[str] = None
-    if args.family == "tt":
-        D = transitive_tournament(_require(args.n, "--n"))
-    elif args.family == "tn":
-        D = reversed_arc_tournament(_require(args.n, "--n"))
-    elif args.family == "diregular":
-        D = diregular_tournament(_require(args.k, "--k"))
-    elif args.family == "random":
-        n = _require(args.n, "--n")
-        if args.density >= 1.0:
-            D = random_tournament(n, args.seed)
-        else:
-            D = random_oriented_graph(n, args.density, args.seed)
+    if args.family in GENERATORS:
+        for name in GENERATORS[args.family].required:
+            _require(getattr(args, name), f"--{name}")
+        # every generator flag that was given, so the table can refuse one
+        # this kind does not take
+        fields = {
+            name: getattr(args, name)
+            for gen in GENERATORS.values()
+            for name in gen.fields
+            if getattr(args, name) is not None
+        }
+        D = build_graph(args.family, fields)
     elif args.family == "mcc":
         inst = mcc_instance_from_dict(_read_json(_require(args.input, "--input")))
         red = mcc_reduction(inst)

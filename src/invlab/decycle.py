@@ -364,11 +364,10 @@ def decycle_via_fas(
 
 
 class Decycling(NamedTuple):
-    """A pipeline's family, the graph its fas stage started from, and the
-    feedback arc set that stage used (None when that graph was acyclic)."""
+    """A pipeline's family and the feedback arc set its fas stage used (None
+    when that stage's graph was already acyclic)."""
 
     family: InversionFamily
-    stage: OrientedGraph
     fas: Optional[FasResult]
 
 
@@ -382,7 +381,7 @@ def _via_fas(
     _check_pipeline_args(D, p)
     if fas is None and not is_acyclic(D):
         fas = feedback_arc_set(D)
-    return Decycling(decycle_via_fas(D, p, strategy, fas, trace), D, fas)
+    return Decycling(decycle_via_fas(D, p, strategy, fas, trace), fas)
 
 
 class GreedyReduction(NamedTuple):
@@ -446,17 +445,18 @@ def decycle_dense(D: OrientedGraph, p: int, trace: Trace = None) -> InversionFam
     return _dense(D, p, trace).family
 
 
-@dataclass(frozen=True)
-class PeelCaps:
-    max_vertices: int = 64
-    max_candidates: int = 200_000
+# biclique_peel refuses larger graphs, and _find_biclique gives up after
+# extending this many partial sides
+PEEL_MAX_VERTICES = 64
+PEEL_MAX_CANDIDATES = 200_000
 
 
 def _find_biclique(
-    adj: dict[int, set[int]], s: int, t: int, caps: PeelCaps
+    adj: dict[int, set[int]], s: int, t: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First K_{s,t} (lexicographic side-B enumeration with pruning) within caps."""
-    budget = caps.max_candidates
+    """First K_{s,t} (lexicographic side-B enumeration with pruning) within
+    PEEL_MAX_CANDIDATES extensions."""
+    budget = PEEL_MAX_CANDIDATES
     verts = sorted(v for v, nb in adj.items() if len(nb) >= t)
 
     def extend(chosen: list[int], common: set[int], start: int) -> Optional[tuple]:
@@ -485,18 +485,15 @@ def _find_biclique(
 
 
 def biclique_peel(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    p: int,
-    caps: PeelCaps = PeelCaps(),
+    n: int, edges: Iterable[tuple[int, int]], p: int
 ) -> tuple[InversionFamily, set[tuple[int, int]]]:
     """Peel complete bipartite K_{s,t} blocks (s = 2*floor(p/2), t = 2*ceil(p/2))
     out of an edge set, four (=p)-inversions per block; returns the family and
     the residual edges once no further block is found within the caps."""
     if p < 2:
         raise InputError("p must be at least 2")
-    if n > caps.max_vertices:
-        raise CapacityError(f"{n} vertices exceed peel cap {caps.max_vertices}")
+    if n > PEEL_MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed peel cap {PEEL_MAX_VERTICES}")
     current = {_pair_of(e) for e in edges}
     for a, b in current:
         if not (0 <= a < n and 0 <= b < n):
@@ -509,7 +506,7 @@ def biclique_peel(
         for a, b in current:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-        found = _find_biclique(adj, s, t, caps)
+        found = _find_biclique(adj, s, t)
         if found is None:
             return InversionFamily(tuple(sets), p, EXACT), current
         B, C = found
@@ -525,7 +522,7 @@ def biclique_peel(
 def _opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
     _check_pipeline_args(D, p)
     if is_acyclic(D):
-        return Decycling(InversionFamily((), p, EXACT), D, None)
+        return Decycling(InversionFamily((), p, EXACT), None)
     fas = feedback_arc_set(D)
     peel, _residual = biclique_peel(D.n, fas.arcs, p)
     D1 = apply_family(D, peel)
@@ -555,8 +552,9 @@ def _fas_bound(formula: Callable[[OrientedGraph, int, int], int]) -> Callable:
     graph: None when only a heuristic one is known."""
 
     def bound(D: OrientedGraph, p: int, run: Decycling) -> Optional[int]:
-        fas = run.fas or feedback_arc_set(run.stage)
-        return formula(D, p, fas.size) if fas.exact else None
+        if run.fas is None:  # an acyclic graph's minimum feedback arc set is empty
+            return formula(D, p, 0)
+        return formula(D, p, run.fas.size) if run.fas.exact else None
 
     return bound
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .graphs import InversionFamily, OrientedGraph, UndirectedGraph, invert, is_acyclic
+from .graphs import InversionFamily, OrientedGraph, UndirectedGraph, invert, vertex_count
 
 
 def transitive_tournament(n: int) -> OrientedGraph:
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    n = vertex_count(n, "n")
     out = tuple(((1 << n) - 1) >> (v + 1) << (v + 1) for v in range(n))
     return OrientedGraph(n, out)
 
@@ -42,12 +41,13 @@ def diregular_tournament(k: int) -> OrientedGraph:
     """Rotational tournament on 2k+1 vertices: i beats i+1, ..., i+k (mod n)."""
     if k < 1:
         raise InputError("need k >= 1")
-    n = 2 * k + 1
+    n = vertex_count(2 * k + 1, "2k+1")
     arcs = [(i, (i + j) % n) for i in range(n) for j in range(1, k + 1)]
     return OrientedGraph.from_arcs(n, arcs)
 
 
 def random_tournament(n: int, seed: int) -> OrientedGraph:
+    n = vertex_count(n, "n")
     rng = random.Random(seed)
     arcs = []
     for u in range(n):
@@ -59,6 +59,7 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
 def random_oriented_graph(n: int, density: float, seed: int) -> OrientedGraph:
     """Each unordered pair carries an arc with the given probability, with a
     uniformly random direction."""
+    n = vertex_count(n, "n")
     if not 0.0 <= density <= 1.0:
         raise InputError("density must lie in [0, 1]")
     rng = random.Random(seed)
@@ -68,6 +69,52 @@ def random_oriented_graph(n: int, density: float, seed: int) -> OrientedGraph:
             if rng.random() < density:
                 arcs.append((u, v) if rng.random() < 0.5 else (v, u))
     return OrientedGraph.from_arcs(n, arcs)
+
+
+class Generator(NamedTuple):
+    """A graph builder, called with its fields as keywords: the required ones
+    and the optional ones, whose defaults live here alone."""
+
+    build: Callable[..., OrientedGraph]
+    required: tuple[str, ...]
+    defaults: dict[str, Any] = {}
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return (*self.required, *self.defaults)
+
+
+# every seeded graph generator by its bench kind, which is also its
+# `invlab generate` name
+GENERATORS: dict[str, Generator] = {
+    "tt": Generator(transitive_tournament, ("n",)),
+    "tn": Generator(reversed_arc_tournament, ("n",)),
+    "diregular": Generator(diregular_tournament, ("k",)),
+    "random_tournament": Generator(random_tournament, ("n",), {"seed": 0}),
+    "random_oriented": Generator(
+        random_oriented_graph, ("n",), {"density": 0.5, "seed": 0}
+    ),
+}
+
+
+def build_graph(kind: Any, fields: dict[str, Any]) -> OrientedGraph:
+    """The graph GENERATORS[kind] builds from fields.  A field the kind does
+    not take, a missing one, or a value that is not an integer (a number, for
+    density) is bad input; a graph above MAX_VERTICES is refused before it
+    is allocated."""
+    if not isinstance(kind, str) or kind not in GENERATORS:
+        raise InputError(f"unknown generator kind {kind!r}")
+    generator = GENERATORS[kind]
+    unknown = sorted(fields.keys() - set(generator.fields))
+    if unknown:
+        raise InputError(f"generator {kind!r} takes no field {unknown[0]!r}")
+    missing = [name for name in generator.required if name not in fields]
+    if missing:
+        raise InputError(f"generator {kind!r} needs field {missing[0]!r}")
+    for name, value in fields.items():
+        if type(value) is not int and not (name == "density" and type(value) is float):
+            raise InputError(f"generator {kind!r}: {name}={value!r} has the wrong type")
+    return generator.build(**{**generator.defaults, **fields})
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,19 @@ FAS_EXACT_LIMIT = 20
 _FAS_CHUNK = 1 << 15
 # candidate columns per acyclic_columns call; bounds the batch arrays' memory
 ACYCLIC_CHUNK = 1 << 12
+# largest vertex count any reader or generator accepts; far above every
+# exhaustive cap, and refused before any per-vertex structure is allocated
+MAX_VERTICES = 10_000
+
+
+def vertex_count(n: object, what: str) -> int:
+    """n, checked to be a vertex count no larger than MAX_VERTICES."""
+    # `type(x) is int` also rejects bool, an int subclass: true is not a count
+    if type(n) is not int or n < 0:
+        raise InputError(f"{what} must be a nonnegative integer")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    return n
 
 
 def _mask(vertices: Iterable[int]) -> int:

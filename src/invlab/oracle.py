@@ -59,11 +59,7 @@ def _check_state_bits(m: int, cap_bits: Optional[int]) -> None:
 
 
 def _restricted_moves(
-    n: int,
-    edges: tuple[tuple[int, int], ...],
-    p: int,
-    mode: str,
-    enum_limit: int = MOVE_ENUM_LIMIT,
+    n: int, edges: tuple[tuple[int, int], ...], p: int, mode: str
 ) -> tuple[int, ...]:
     """Deduplicated nonzero restrictions of all (=p)- or (<=p)-set indicators.
 
@@ -80,8 +76,8 @@ def _restricted_moves(
     else:
         sizes = range(0, min(p, a) + 1)
     total = sum(math.comb(a, s) for s in sizes)
-    if total > enum_limit:
-        raise CapacityError(f"{total} candidate sets exceed move limit {enum_limit}")
+    if total > MOVE_ENUM_LIMIT:
+        raise CapacityError(f"{total} candidate sets exceed move limit {MOVE_ENUM_LIMIT}")
     bit = [1 << i for i in range(a)]
     chosen = np.fromiter(
         (sum(sub) for s in sizes for sub in itertools.combinations(bit, s)),

@@ -1,4 +1,4 @@
-"""JSON and DOT serialization.
+"""JSON serialization and DOT export.
 
 Graph format: {"n": int, "arcs": [[u, v], ...]}, digon-freeness validated on
 load.  Family format: {"mode": "eq"|"leq", "p": int, "sets": [[...], ...]}.
@@ -11,23 +11,9 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, Sequence
 
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .generate import Hypergraph, MccInstance
-from .graphs import InversionFamily, OrientedGraph, UndirectedGraph
-
-
-# largest vertex count any reader accepts; far above every exhaustive cap, and
-# refused before any per-vertex structure is allocated
-MAX_VERTICES = 10_000
-
-
-def _vertex_count(n: Any, what: str) -> int:
-    # `type(x) is int` also rejects bool, an int subclass: true is not a count
-    if type(n) is not int or n < 0:
-        raise InputError(f"{what} JSON 'n' must be a nonnegative integer")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    return n
+from .graphs import InversionFamily, OrientedGraph, UndirectedGraph, vertex_count
 
 
 def _int_lists(items: Any, what: str, size: Optional[int] = None) -> list[list[int]]:
@@ -56,7 +42,7 @@ def graph_to_dict(D: OrientedGraph) -> dict:
 def graph_from_dict(data: Any) -> OrientedGraph:
     if not isinstance(data, dict) or "n" not in data or "arcs" not in data:
         raise InputError("graph JSON needs keys 'n' and 'arcs'")
-    n = _vertex_count(data["n"], "graph")
+    n = vertex_count(data["n"], "graph JSON 'n'")
     arcs = data["arcs"]
     if not isinstance(arcs, list):
         raise InputError("graph JSON types: n int, arcs list")
@@ -131,30 +117,6 @@ def graph_to_dot(D: OrientedGraph, names: Optional[Sequence[str]] = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def graph_from_dot(text: str) -> OrientedGraph:
-    """Parse the DOT dialect emitted by graph_to_dot (round-trips bit-exactly).
-
-    The vertex count is capped like every JSON reader's, before allocating."""
-    vertices: set[int] = set()
-    arcs = []
-    for raw in text.splitlines():
-        line = raw.strip().rstrip(";")
-        if not line or line in ("digraph {", "}"):
-            continue
-        try:
-            if "->" in line:
-                left, right = line.split("->")
-                arcs.append((int(left), int(right)))
-            else:
-                vertices.add(int(line.split("[", 1)[0]))
-        except ValueError:
-            raise InputError(f"bad DOT line {raw!r}") from None
-    if vertices and min(vertices) < 0:
-        raise InputError(f"negative DOT vertex {min(vertices)}")
-    n = _vertex_count(max(vertices) + 1 if vertices else 0, "DOT")
-    return OrientedGraph.from_arcs(n, arcs)
-
-
 def hypergraph_to_dict(H: Hypergraph) -> dict:
     return {"n": H.n, "edges": [sorted(e) for e in H.edges]}
 
@@ -162,7 +124,7 @@ def hypergraph_to_dict(H: Hypergraph) -> dict:
 def hypergraph_from_dict(data: Any) -> Hypergraph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InputError("hypergraph JSON needs keys 'n' and 'edges'")
-    n = _vertex_count(data["n"], "hypergraph")
+    n = vertex_count(data["n"], "hypergraph JSON 'n'")
     edges = _int_lists(data["edges"], "hypergraph edges")
     return Hypergraph(n, tuple(frozenset(e) for e in edges))
 
@@ -171,7 +133,7 @@ def mcc_instance_from_dict(data: Any) -> MccInstance:
     for key in ("n", "edges", "parts"):
         if not isinstance(data, dict) or key not in data:
             raise InputError("MCC JSON needs keys 'n', 'edges' and 'parts'")
-    n = _vertex_count(data["n"], "MCC")
+    n = vertex_count(data["n"], "MCC JSON 'n'")
     edges = _int_lists(data["edges"], "MCC edges", size=2)
     parts = _int_lists(data["parts"], "MCC parts")
     G = UndirectedGraph.from_edges(n, [tuple(e) for e in edges])

@@ -1,6 +1,7 @@
 """CLI surface, serialization round-trips, bench harness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,19 +16,23 @@ from invlab.decycle import (
     decycle_opt_dense,
     decycle_via_fas,
 )
-from invlab import serialize as serialize_mod
 from invlab.errors import CapacityError, InputError
-from invlab.graphs import EXACT, InversionFamily, OrientedGraph, apply_family
-from invlab.generate import random_oriented_graph, random_tournament, transitive_tournament
+from invlab.graphs import EXACT, MAX_VERTICES, InversionFamily, OrientedGraph, apply_family
+from invlab.generate import (
+    GENERATORS,
+    random_oriented_graph,
+    random_tournament,
+    transitive_tournament,
+)
 from invlab.serialize import (
-    MAX_VERTICES,
     family_from_json,
     family_to_json,
-    graph_from_dot,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
 )
+
+BENCH_SPEC = Path(__file__).resolve().parents[1] / "scripts" / "bench_spec.json"
 
 
 class TestSerialization:
@@ -64,25 +69,6 @@ class TestSerialization:
     def test_dot_export(self):
         dot = graph_to_dot(OrientedGraph.from_arcs(2, [(0, 1)]))
         assert "digraph" in dot and "0 -> 1;" in dot
-
-    def test_dot_round_trip(self):
-        for seed in range(50):
-            D = random_oriented_graph(seed % 8, 0.5, seed)
-            assert graph_from_dot(graph_to_dot(D)) == D
-            assert graph_to_dot(graph_from_dot(graph_to_dot(D))) == graph_to_dot(D)
-
-    def test_dot_vertex_cap(self):
-        top = MAX_VERTICES - 1
-        assert graph_from_dot(f"digraph {{\n  {top} [label={top}];\n}}\n").n == top + 1
-        with pytest.raises(CapacityError):
-            graph_from_dot(f"digraph {{\n  {top + 1} [label={top + 1}];\n}}\n")
-
-    @pytest.mark.parametrize(
-        "text", ["0 -> x", "x [label=x];", "0 -> 1 -> 2", "-1 [label=-1];", "1;\n0 -> 5;"]
-    )
-    def test_dot_malformed_lines(self, text):
-        with pytest.raises(InputError):
-            graph_from_dot(text)
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +246,9 @@ class TestCliVerbs:
         assert outs[0] == outs[1]
         runs = []
         for _ in range(2):
-            code, out, _ = run_cli(capsys, "generate", "random", "--n", "8", "--seed", "3")
+            code, out, _ = run_cli(
+                capsys, "generate", "random_oriented", "--n", "8", "--seed", "3"
+            )
             runs.append(out)
         assert runs[0] == runs[1]
 
@@ -356,7 +344,7 @@ class TestCliMalformedInput:
         assert code == 3 and "10000" in err
 
     def test_vertex_cap_boundary(self):
-        n = serialize_mod.MAX_VERTICES
+        n = MAX_VERTICES
         assert graph_from_json(json.dumps({"n": n, "arcs": [[0, n - 1]]})).n == n
         with pytest.raises(CapacityError):
             graph_from_json(json.dumps({"n": n + 1, "arcs": []}))
@@ -372,6 +360,16 @@ class TestCliMalformedInput:
             [{"generator": "tt", "p": 4, "strategy": "fas"}],
             [7],
             "[{",
+            # generator fields the kind does not take, or of the wrong type
+            [{"generator": {"kind": "random_tournament", "n": 6, "sed": 1}, "p": 4,
+              "strategy": "fas"}],
+            [{"generator": {"kind": "tt", "n": 6, "seed": 1}, "p": 4, "strategy": "fas"}],
+            [{"generator": {"kind": "tt", "n": 6, "density": 0.5}, "p": 4,
+              "strategy": "fas"}],
+            [{"generator": {"kind": "tt", "n": True}, "p": 4, "strategy": "fas"}],
+            [{"generator": {"kind": "random_oriented", "n": 6, "density": "0.5"},
+              "p": 4, "strategy": "fas"}],
+            [{"generator": {"kind": ["tt"], "n": 6}, "p": 4, "strategy": "fas"}],
         ],
     )
     def test_malformed_bench_spec(self, tmp_path, capsys, spec):
@@ -380,6 +378,34 @@ class TestCliMalformedInput:
         code, out, err = run_cli(capsys, "bench", "--spec", str(path))
         assert code == 4 and out == ""
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("random_oriented", "--n", "6", "--density", "7"),
+            ("tt", "--n", "6", "--seed", "1"),
+            ("random_tournament", "--n", "6", "--density", "0.5"),
+        ],
+    )
+    def test_malformed_generator_flags(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 4 and out == ""
+        assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_generator_vertex_cap(self, tmp_path, capsys, kind):
+        # one vertex past the cap (2k+1 = MAX_VERTICES + 1 for diregular),
+        # refused before anything is allocated
+        field, value = ("n", MAX_VERTICES + 1)
+        if kind == "diregular":
+            field, value = "k", MAX_VERTICES // 2
+        code, out, err = run_cli(capsys, "generate", kind, f"--{field}", str(value))
+        assert code == 3 and out == "" and "10001 vertices" in err
+        spec = tmp_path / "spec.json"
+        row = {"generator": {"kind": kind, field: value}, "p": 4, "strategy": "fas"}
+        spec.write_text(json.dumps([row]))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 3 and out == "" and "10001 vertices" in err
 
 
 class TestBench:
@@ -459,10 +485,7 @@ class TestBench:
         assert bench_mod.run_row(row, deterministic=True)["acyclic-ok"] is False
 
     def test_bench_spec_golden(self):
-        from pathlib import Path
-
-        spec = Path(__file__).resolve().parents[1] / "scripts" / "bench_spec.json"
-        rows = bench_mod.bench_suite(json.loads(spec.read_text()), deterministic=True)
+        rows = bench_mod.bench_suite(json.loads(BENCH_SPEC.read_text()), deterministic=True)
         assert bench_mod.rows_to_csv(rows) == (
             "instance,n,p,mode,strategy,count,bound,bound-ok,acyclic-ok,oracle,runtime-ms\n"
             "tn-12-fas,12,4,eq,fas,6,12,True,True,,\n"
@@ -473,6 +496,23 @@ class TestBench:
             "rt-7-fas-oracle,7,4,eq,fas,12,36,True,True,3,\n"
             "ro-12-greedy,12,4,eq,greedy,4,16,True,True,,\n"
         )
+
+    def test_bench_rows_reproducible_with_generate(self, capsys):
+        for row in json.loads(BENCH_SPEC.read_text()):
+            fields = dict(row["generator"])
+            argv = ["generate", fields.pop("kind")]
+            for name, value in fields.items():
+                argv += [f"--{name}", str(value)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == graph_to_json(bench_mod._build_instance(row["generator"]))
+
+    def test_acyclic_fas_stage_bound_above_exact_limit(self):
+        # the fas stage of a transitive tournament finds it acyclic, whose
+        # minimum feedback arc set is empty at any n
+        row = {"name": "tt-24", "generator": {"kind": "tt", "n": 24}, "p": 4, "strategy": "fas"}
+        out = bench_mod.run_row(row, deterministic=True)
+        assert out["count"] == 0 and out["bound"] == 6 and out["bound-ok"] is True
 
     def test_capacity_marked_not_fatal(self):
         rows = bench_mod.bench_suite(

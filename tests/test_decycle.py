@@ -12,7 +12,6 @@ from invlab.decycle import (
     NARROW,
     PAIRWISE,
     WIDE,
-    PeelCaps,
     biclique_peel,
     decycle_dense,
     decycle_opt_dense,

@@ -21,6 +21,7 @@ from invlab.graphs import (
 from invlab.generate import (
     Hypergraph,
     MccInstance,
+    build_graph,
     colouring_is_proper,
     directed_cycle,
     diregular_tournament,
@@ -69,6 +70,11 @@ class TestCanonicalTournaments:
     def test_density_extremes(self):
         assert is_tournament(random_oriented_graph(7, 1.0, 0))
         assert random_oriented_graph(7, 0.0, 0).arc_count == 0
+
+    def test_table_defaults(self):
+        assert build_graph("random_tournament", {"n": 8}) == random_tournament(8, 0)
+        assert build_graph("random_oriented", {"n": 8}) == random_oriented_graph(8, 0.5, 0)
+        assert build_graph("diregular", {"k": 3}) == diregular_tournament(3)
 
 
 class TestValidateSpecial:

@@ -98,9 +98,8 @@ _Row = tuple[InversionFamily, Optional[int], bool]
 def _decycling_row(D: OrientedGraph, p: int, strategy: str) -> _Row:
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    pipeline, bound = STRATEGIES[strategy]
-    run = pipeline(D, p)
-    return run.family, bound(D, p, run), is_acyclic(apply_family(D, run.family))
+    run = STRATEGIES[strategy](D, p)
+    return run.family, run.bound, is_acyclic(apply_family(D, run.family))
 
 
 def _greedy_row(D: OrientedGraph, p: int, strategy: str) -> _Row:

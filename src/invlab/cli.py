@@ -20,6 +20,7 @@ from .decide import oriented_graph_invertible, tournaments_equivalent
 from .errors import CapacityError, InputError, UnsupportedRangeError
 from .generate import (
     GENERATORS,
+    Hypergraph,
     build_graph,
     hypergraph_lift,
     k33_hypergraph,
@@ -110,9 +111,14 @@ def _build_parser() -> _Parser:
     g.add_argument("--seed", type=int)
     g.add_argument("--p", type=int)
     g.add_argument("--input", default=None, help="instance JSON for mcc/shec/lift")
-    g.add_argument("--k33", action="store_true", help="use the builtin K_{3,3}")
+    # None when absent, like every generate flag, so a kind can refuse it
+    g.add_argument(
+        "--k33", action="store_true", default=None, help="use the builtin K_{3,3}"
+    )
     g.add_argument("--names", default=None, help="write the name map here")
-    g.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    g.add_argument(
+        "--dot", action="store_true", default=None, help="emit DOT instead of JSON"
+    )
 
     v = sub.add_parser("verify", help="check a family against a graph")
     v.add_argument("--p", type=int, required=True)
@@ -160,7 +166,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "decycle":
         D = _read_graph(args.input)
         trace: list[GadgetPlan] = []
-        family = STRATEGIES[args.strategy].pipeline(D, args.p, trace=trace).family
+        family = STRATEGIES[args.strategy](D, args.p, trace=trace).family
         if args.emit == "json":
             sys.stdout.write(family_to_json(family))
         else:
@@ -260,18 +266,31 @@ def _run(args: argparse.Namespace) -> int:
     raise _UsageError(f"unknown verb {args.verb!r}")
 
 
+# the flags of the generate kinds outside the GENERATORS table, which take
+# their table fields (checked by build_graph) and --dot
+_KIND_FLAGS = {
+    "mcc": ("input", "names", "dot"),
+    "shec": ("input", "k33", "p", "names", "dot"),
+    "lift": ("input", "k33", "names"),
+}
+
+
 def _run_generate(args: argparse.Namespace) -> int:
+    table_fields = {name for gen in GENERATORS.values() for name in gen.fields}
+    takes = _KIND_FLAGS.get(args.family, (*table_fields, "dot"))
+    for flag in sorted(table_fields.union(*_KIND_FLAGS.values()) - set(takes)):
+        if getattr(args, flag) is not None:
+            raise InputError(f"generate {args.family} takes no --{flag}")
     names: Optional[tuple[str, ...]] = None
     payload: Optional[str] = None
     if args.family in GENERATORS:
         for name in GENERATORS[args.family].required:
             _require(getattr(args, name), f"--{name}")
-        # every generator flag that was given, so the table can refuse one
-        # this kind does not take
+        # every table field that was given, so the table can refuse one this
+        # kind does not take
         fields = {
             name: getattr(args, name)
-            for gen in GENERATORS.values()
-            for name in gen.fields
+            for name in sorted(table_fields)
             if getattr(args, name) is not None
         }
         D = build_graph(args.family, fields)
@@ -279,39 +298,30 @@ def _run_generate(args: argparse.Namespace) -> int:
         inst = mcc_instance_from_dict(_read_json(_require(args.input, "--input")))
         red = mcc_reduction(inst)
         D, names = red.graph, red.names
-        payload = graph_to_json(D)
     elif args.family == "shec":
-        H = (
-            k33_hypergraph()
-            if args.k33
-            else hypergraph_from_dict(_read_json(_require(args.input, "--input")))
-        )
-        p = _require(args.p, "--p")
-        red = shec_reduction(H, p)
+        H = _read_hypergraph(args)
+        red = shec_reduction(H, _require(args.p, "--p"))
         D, names = red.tournament, red.names
-        payload = graph_to_json(D)
-    elif args.family == "lift":
-        H = (
-            k33_hypergraph()
-            if args.k33
-            else hypergraph_from_dict(_read_json(_require(args.input, "--input")))
-        )
-        lift = hypergraph_lift(H)
+    else:
+        lift = hypergraph_lift(_read_hypergraph(args))
         names = lift.names
         payload = json.dumps(hypergraph_to_dict(lift.hypergraph), sort_keys=True) + "\n"
-        D = None
-    else:
-        raise _UsageError(f"unknown generator {args.family!r}")
     if payload is None:
-        payload = graph_to_json(D)
-    if args.dot and D is not None:
-        payload = graph_to_dot(D, names)
+        payload = graph_to_dot(D, names) if args.dot else graph_to_json(D)
     sys.stdout.write(payload)
-    if args.names and names is not None:
+    if args.names:
         with open(args.names, "w", encoding="utf-8") as fh:
             json.dump({str(i): name for i, name in enumerate(names)}, fh, sort_keys=True)
             fh.write("\n")
     return 0
+
+
+def _read_hypergraph(args: argparse.Namespace) -> Hypergraph:
+    if args.k33:
+        if args.input is not None:
+            raise InputError("--k33 and --input exclude each other")
+        return k33_hypergraph()
+    return hypergraph_from_dict(_read_json(_require(args.input, "--input")))
 
 
 def _require(value, flag: str):

@@ -25,7 +25,8 @@ from .graphs import (
 )
 from .pairspace import encode_tournament, signatures_equal
 
-PUSH_SCAN_DEFAULT_LIMIT = 22
+# pushable_bruteforce refuses graphs with more vertices
+PUSH_SCAN_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -186,15 +187,13 @@ def construct_orientation(
     return oriented
 
 
-def pushable_bruteforce(
-    D: OrientedGraph, limit: int = PUSH_SCAN_DEFAULT_LIMIT
-) -> Optional[frozenset[int]]:
+def pushable_bruteforce(D: OrientedGraph) -> Optional[frozenset[int]]:
     """First vertex set (by bitmask value, vertex 0 always excluded: X and its
     complement push identically) whose push makes D acyclic, else None.
 
     The 2^(n-1) push sets are tested in batches by acyclic_columns."""
-    if D.n > limit:
-        raise CapacityError(f"push scan limited to {limit} vertices (got {D.n})")
+    if D.n > PUSH_SCAN_LIMIT:
+        raise CapacityError(f"push scan limited to {PUSH_SCAN_LIMIT} vertices (got {D.n})")
     if D.n == 0:
         return frozenset()
     n = D.n
@@ -221,9 +220,7 @@ def pushable_bruteforce(
     return None
 
 
-def oriented_graph_invertible(
-    D: OrientedGraph, p: int, push_limit: int = PUSH_SCAN_DEFAULT_LIMIT
-) -> bool:
+def oriented_graph_invertible(D: OrientedGraph, p: int) -> bool:
     """Decide (=p)-invertibility of any oriented graph.
 
     Dispatch: p >= n reduces to acyclicity, even p with n >= p + 2 is always
@@ -237,7 +234,7 @@ def oriented_graph_invertible(
         return is_acyclic(D)
     if n == p + 1:
         try:
-            return pushable_bruteforce(D, push_limit) is not None
+            return pushable_bruteforce(D) is not None
         except CapacityError as exc:
             raise UnsupportedRangeError(
                 f"order p + 1 = {n} is outside the polynomial cases and too "

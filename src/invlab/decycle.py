@@ -1,9 +1,11 @@
 """Constructive synthesis of decycling (=p)-families.
 
 Four primitive gadgets reverse a prescribed edge pattern and nothing else;
-the pipelines compose them against a feedback arc set.  Helper vertices are
-always the lowest-index vertices outside the forbidden set, so every output
-is deterministic.  All pipelines require even p; no bounded construction can
+the pipelines compose them against a feedback arc set.  Each pipeline
+returns a Decycling: its family and the stated bound on the family's size,
+computed next to the construction it bounds.  Helper vertices are always the
+lowest-index vertices outside the forbidden set, so every output is
+deterministic.  All pipelines require even p; no bounded construction can
 exist for odd p.
 """
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError, ModeError, UnsupportedRangeError
@@ -331,57 +332,61 @@ def _check_pipeline_args(D: OrientedGraph, p: int) -> None:
         raise UnsupportedRangeError(f"need n >= p + 2 (got n={D.n}, p={p})")
 
 
+@dataclass(frozen=True)
+class Decycling:
+    """A pipeline's family and the stated bound on its size, None when that
+    bound rests on a feedback arc set that is only heuristic."""
+
+    family: InversionFamily
+    bound: Optional[int]
+
+    # a run reads as its family where one is serialized (family_to_json)
+    sets = property(lambda self: self.family.sets)
+    p = property(lambda self: self.family.p)
+    mode = property(lambda self: self.family.mode)
+
+
 def decycle_via_fas(
     D: OrientedGraph,
     p: int,
     strategy: str = PAIRWISE,
     fas: Optional[FasResult] = None,
     trace: Trace = None,
-) -> InversionFamily:
-    """Decycle D with at most (2p-2)(fas+1) (=p)-inversions, fas taken from the
-    feedback arc set actually used (feedback_arc_set(D) unless given)."""
+) -> Decycling:
+    """Decycle D with at most (2p-2)(|F|+1) (=p)-inversions by reversing a
+    feedback arc set F (feedback_arc_set(D) unless given).
+
+    The stated bound is (2p-2)(fas+1) for pairwise and 2fas + 2pn for
+    cycle-first, where fas is the minimum feedback arc set of D (0 when D is
+    acyclic); it is None when F is only heuristic."""
     _check_pipeline_args(D, p)
     if is_acyclic(D):
-        return InversionFamily((), p, EXACT)
-    chosen = fas if fas is not None else feedback_arc_set(D)
-    diff = set(chosen.arcs)
-    if len(diff) % 2 == 1:
-        D1 = apply_family(
-            D, InversionFamily(tuple(frozenset(a) for a in diff), 2, AT_MOST)
-        )
-        extra = _safe_extra_arc(D1, prefer_not={(v, u) for u, v in diff})
-        if extra in {(v, u) for u, v in diff}:
-            diff.discard((extra[1], extra[0]))
-        else:
-            diff.add(extra)
-    family = reverse_arc_set(D, diff, p, strategy, trace)
-    assert len(family) <= (2 * p - 2) * (chosen.size + 1)
-    # an equivalent subfamily of at most |A(D)| members; this is what keeps
-    # every emitted count under the arc bound
-    family = minimize_family(D, family)
-    assert is_acyclic(apply_family(D, family))
-    return family
-
-
-class Decycling(NamedTuple):
-    """A pipeline's family and the feedback arc set its fas stage used (None
-    when that stage's graph was already acyclic)."""
-
-    family: InversionFamily
-    fas: Optional[FasResult]
-
-
-def _via_fas(
-    D: OrientedGraph,
-    p: int,
-    strategy: str = PAIRWISE,
-    fas: Optional[FasResult] = None,
-    trace: Trace = None,
-) -> Decycling:
-    _check_pipeline_args(D, p)
-    if fas is None and not is_acyclic(D):
-        fas = feedback_arc_set(D)
-    return Decycling(decycle_via_fas(D, p, strategy, fas, trace), fas)
+        # an acyclic graph's minimum feedback arc set is empty
+        family, fas_size = InversionFamily((), p, EXACT), 0
+    else:
+        chosen = fas if fas is not None else feedback_arc_set(D)
+        diff = set(chosen.arcs)
+        if len(diff) % 2 == 1:
+            D1 = apply_family(
+                D, InversionFamily(tuple(frozenset(a) for a in diff), 2, AT_MOST)
+            )
+            extra = _safe_extra_arc(D1, prefer_not={(v, u) for u, v in diff})
+            if extra in {(v, u) for u, v in diff}:
+                diff.discard((extra[1], extra[0]))
+            else:
+                diff.add(extra)
+        family = reverse_arc_set(D, diff, p, strategy, trace)
+        assert len(family) <= (2 * p - 2) * (chosen.size + 1)
+        # an equivalent subfamily of at most |A(D)| members; this is what keeps
+        # every emitted count under the arc bound
+        family = minimize_family(D, family)
+        assert is_acyclic(apply_family(D, family))
+        fas_size = chosen.size if chosen.exact else None
+    if fas_size is None:
+        return Decycling(family, None)
+    if strategy == CYCLE_FIRST:
+        return Decycling(family, 2 * fas_size + 2 * p * D.n)
+    return Decycling(family, (2 * p - 2) * (fas_size + 1))
 
 
 class GreedyReduction(NamedTuple):
@@ -429,20 +434,20 @@ def greedy_reduce(
     return GreedyReduction(family, current, cert)
 
 
-def _dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
+def decycle_dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
+    """Greedy arc-absorption sweep followed by the fas pipeline on what is left.
+
+    The bound is floor(|A(D)|/(p-1)) plus the fas pipeline's, None with it."""
     _check_pipeline_args(D, p)
     reduction = greedy_reduce(D, p)
-    rest = _via_fas(reduction.reduced, p, PAIRWISE, trace=trace)
+    rest = decycle_via_fas(reduction.reduced, p, PAIRWISE, trace=trace)
     family = minimize_family(
         D, InversionFamily(reduction.family.sets + rest.family.sets, p, EXACT)
     )
     assert is_acyclic(apply_family(D, family))
-    return rest._replace(family=family)
-
-
-def decycle_dense(D: OrientedGraph, p: int, trace: Trace = None) -> InversionFamily:
-    """Greedy arc-absorption sweep followed by the fas pipeline on what is left."""
-    return _dense(D, p, trace).family
+    if rest.bound is None:
+        return Decycling(family, None)
+    return Decycling(family, D.arc_count // (p - 1) + rest.bound)
 
 
 # biclique_peel refuses larger graphs, and _find_biclique gives up after
@@ -519,64 +524,31 @@ def biclique_peel(
                 current.discard(_pair_of((x, y)))
 
 
-def _opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
+def decycle_opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> Decycling:
+    """Peel biclique blocks out of a minimum feedback arc set, then finish with
+    the fas pipeline on the perturbed graph.  The bound is |A(D)|."""
     _check_pipeline_args(D, p)
     if is_acyclic(D):
-        return Decycling(InversionFamily((), p, EXACT), None)
+        return Decycling(InversionFamily((), p, EXACT), D.arc_count)
     fas = feedback_arc_set(D)
     peel, _residual = biclique_peel(D.n, fas.arcs, p)
     D1 = apply_family(D, peel)
     # an empty peel leaves D itself, whose feedback arc set is already known
-    rest = _via_fas(D1, p, PAIRWISE, None if peel.sets else fas, trace)
+    rest = decycle_via_fas(D1, p, PAIRWISE, None if peel.sets else fas, trace)
     family = minimize_family(D, InversionFamily(peel.sets + rest.family.sets, p, EXACT))
     assert is_acyclic(apply_family(D, family))
-    return rest._replace(family=family)
+    return Decycling(family, D.arc_count)
 
 
-def decycle_opt_dense(D: OrientedGraph, p: int, trace: Trace = None) -> InversionFamily:
-    """Peel biclique blocks out of a minimum feedback arc set, then finish with
-    the fas pipeline on the perturbed graph."""
-    return _opt_dense(D, p, trace).family
-
-
-class Strategy(NamedTuple):
-    """A named decycling pipeline, called as pipeline(D, p, trace=...), and
-    the bound on its family size as a function of (D, p, its Decycling)."""
-
-    pipeline: Callable[..., Decycling]
-    bound: Callable[[OrientedGraph, int, Decycling], Optional[int]]
-
-
-def _fas_bound(formula: Callable[[OrientedGraph, int, int], int]) -> Callable:
-    """A bound stated against the minimum feedback arc set of the fas stage's
-    graph: None when only a heuristic one is known."""
-
-    def bound(D: OrientedGraph, p: int, run: Decycling) -> Optional[int]:
-        if run.fas is None:  # an acyclic graph's minimum feedback arc set is empty
-            return formula(D, p, 0)
-        return formula(D, p, run.fas.size) if run.fas.exact else None
-
-    return bound
-
-
-# every decycling pipeline by its CLI name; the bench adds the greedy sweep,
-# which does not decycle
-STRATEGIES: dict[str, Strategy] = {
-    "fas": Strategy(
-        partial(_via_fas, strategy=PAIRWISE),
-        _fas_bound(lambda D, p, fas: (2 * p - 2) * (fas + 1)),
-    ),
-    "2fas": Strategy(
-        partial(_via_fas, strategy=CYCLE_FIRST),
-        _fas_bound(lambda D, p, fas: 2 * fas + 2 * p * D.n),
-    ),
-    "dense": Strategy(
-        _dense,
-        _fas_bound(
-            lambda D, p, fas: D.arc_count // (p - 1) + (2 * p - 2) * (fas + 1)
-        ),
-    ),
-    "opt-dense": Strategy(_opt_dense, lambda D, p, run: D.arc_count),
+# every decycling pipeline by its CLI name, called as pipeline(D, p, trace=...);
+# the bench adds the greedy sweep, which does not decycle.  Each entry looks
+# its pipeline up by module name when called, so a wrapper installed on
+# invlab.decycle sees every call.
+STRATEGIES: dict[str, Callable[..., Decycling]] = {
+    "fas": lambda D, p, trace=None: decycle_via_fas(D, p, PAIRWISE, trace=trace),
+    "2fas": lambda D, p, trace=None: decycle_via_fas(D, p, CYCLE_FIRST, trace=trace),
+    "dense": lambda D, p, trace=None: decycle_dense(D, p, trace),
+    "opt-dense": lambda D, p, trace=None: decycle_opt_dense(D, p, trace),
 }
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .graphs import InversionFamily, OrientedGraph, UndirectedGraph, invert, vertex_count
+from .graphs import (
+    EXACT,
+    InversionFamily,
+    OrientedGraph,
+    UndirectedGraph,
+    invert,
+    vertex_count,
+)
 
 
 def transitive_tournament(n: int) -> OrientedGraph:
@@ -175,11 +182,17 @@ def k33_hypergraph() -> Hypergraph:
     return Hypergraph(6, edges)
 
 
-def proper_3_edge_colouring(H: Hypergraph, limit: int = 20) -> Optional[tuple[int, ...]]:
+# proper_3_edge_colouring refuses hypergraphs with more hyperedges
+COLOURING_EDGE_LIMIT = 20
+
+
+def proper_3_edge_colouring(H: Hypergraph) -> Optional[tuple[int, ...]]:
     """Backtracking 3-colouring of intersecting hyperedges; None if impossible."""
     m = len(H.edges)
-    if m > limit:
-        raise CapacityError(f"{m} hyperedges exceed colouring search limit {limit}")
+    if m > COLOURING_EDGE_LIMIT:
+        raise CapacityError(
+            f"{m} hyperedges exceed colouring search limit {COLOURING_EDGE_LIMIT}"
+        )
     conflict = [
         [j for j in range(m) if j != i and H.edges[i] & H.edges[j]] for i in range(m)
     ]
@@ -360,7 +373,7 @@ def shec_colouring_family(
     sets = tuple(
         frozenset(e) | {z_start + colours[i] - 1} for i, e in enumerate(H.edges)
     )
-    return InversionFamily(sets, p, "eq")
+    return InversionFamily(sets, p, EXACT)
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,6 @@ def kernelize(T: OrientedGraph, cfg: KernelConfig) -> KernelResult:
     while current.n > loop_threshold:
         outcome = delvertex_step(current, step_cfg)
         steps.append(outcome)
-        if outcome.kind == "noop":
-            break
         current = outcome.tournament
         if outcome.kind == "no-instance":
             break

@@ -296,7 +296,7 @@ def _transitive_scan_factory(D: OrientedGraph):
 
 
 def single_inversion_decycles(
-    D: OrientedGraph, p: int, mode: str = AT_MOST, limit: int = MOVE_ENUM_LIMIT
+    D: OrientedGraph, p: int, mode: str = AT_MOST
 ) -> Optional[frozenset[int]]:
     """First vertex set (sizes ascending, lexicographic within a size) whose
     single inversion makes D acyclic, or None when no such set exists."""
@@ -305,8 +305,8 @@ def single_inversion_decycles(
     sizes = [p] if mode == EXACT else list(range(0, p + 1))
     sizes = [s for s in sizes if s <= D.n]
     total = sum(math.comb(D.n, s) for s in sizes)
-    if total > limit:
-        raise CapacityError(f"{total} candidate sets exceed scan limit {limit}")
+    if total > MOVE_ENUM_LIMIT:
+        raise CapacityError(f"{total} candidate sets exceed scan limit {MOVE_ENUM_LIMIT}")
     tournament_scan = is_tournament(D)
     qualifies = _transitive_scan_factory(D) if tournament_scan else None
     for s in sizes:

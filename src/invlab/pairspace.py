@@ -176,15 +176,17 @@ def _reduce(vec: int, combo: int, pivots: dict[int, tuple[int, int]]):
     return 0, combo, None
 
 
-def span_witness_bruteforce(
-    u: PairVector, p: int, n: int, limit: int = 100_000
-) -> Optional[InversionFamily]:
+# span_witness_bruteforce refuses more generators than this
+SPAN_WITNESS_LIMIT = 100_000
+
+
+def span_witness_bruteforce(u: PairVector, p: int, n: int) -> Optional[InversionFamily]:
     """A family of (=p)-sets whose indicators XOR to u, by Gaussian elimination
     over all C(n,p) generators, or None when u is outside their span."""
     if p < 0 or p > n:
         raise InputError("need 0 <= p <= n")
-    if math.comb(n, p) > limit:
-        raise CapacityError(f"C({n},{p}) generators exceed limit {limit}")
+    if math.comb(n, p) > SPAN_WITNESS_LIMIT:
+        raise CapacityError(f"C({n},{p}) generators exceed limit {SPAN_WITNESS_LIMIT}")
     generators = list(itertools.combinations(range(n), p))
     pivots: dict[int, tuple[int, int]] = {}
     for gi, X in enumerate(generators):

@@ -13,7 +13,14 @@ from typing import Any, Optional, Sequence
 
 from .errors import InputError
 from .generate import Hypergraph, MccInstance
-from .graphs import InversionFamily, OrientedGraph, UndirectedGraph, vertex_count
+from .graphs import (
+    AT_MOST,
+    EXACT,
+    InversionFamily,
+    OrientedGraph,
+    UndirectedGraph,
+    vertex_count,
+)
 
 
 def _int_lists(items: Any, what: str, size: Optional[int] = None) -> list[list[int]]:
@@ -88,7 +95,7 @@ def family_from_dict(data: Any) -> InversionFamily:
     if type(data["p"]) is not int:
         raise InputError(f"family p {data['p']!r} must be an integer")
     fam = InversionFamily(tuple(frozenset(X) for X in sets), data["p"], data["mode"])
-    if fam.mode not in ("eq", "leq"):
+    if fam.mode not in (EXACT, AT_MOST):
         raise InputError(f"unknown family mode {fam.mode!r}")
     return fam
 

@@ -270,7 +270,7 @@ def test_c6_bound_realization():
             n = rng.randint(p + 2, 12)
             D = random_tournament(n, 40_000 + trial)
             fas = fas_exact(D)
-            fam = decycle_via_fas(D, p, PAIRWISE, fas=fas)
+            fam = decycle_via_fas(D, p, PAIRWISE, fas=fas).family
             assert is_acyclic(apply_family(D, fam))
             assert all(len(X) == p for X in fam.sets)
             assert len(fam) <= (2 * p - 2) * (fas.size + 1)
@@ -278,7 +278,7 @@ def test_c6_bound_realization():
             assert len(red.family) <= D.arc_count // (p - 1)
             cert = len(backward_arcs(red.reduced, red.ordering))
             assert 4 * cert <= 4 * ((p - 2) * n) - 3 * p * p + 7 * p
-            cyc = decycle_via_fas(D, p, CYCLE_FIRST, fas=fas)
+            cyc = decycle_via_fas(D, p, CYCLE_FIRST, fas=fas).family
             assert is_acyclic(apply_family(D, cyc))
             assert len(cyc) <= (2 * p - 2) * (fas.size + 1)
             assert len(cyc) <= 2 * fas.size + 2 * p * n
@@ -310,10 +310,10 @@ def test_c8_arc_count_bound():
             n = rng.randint(p + 2, 12)
             D = random_tournament(n, 60_000 + trial)
             for fam in (
-                decycle_via_fas(D, p),
-                decycle_via_fas(D, p, CYCLE_FIRST),
-                decycle_dense(D, p),
-                decycle_opt_dense(D, p),
+                decycle_via_fas(D, p).family,
+                decycle_via_fas(D, p, CYCLE_FIRST).family,
+                decycle_dense(D, p).family,
+                decycle_opt_dense(D, p).family,
             ):
                 assert len(fam) <= D.arc_count, trial
         for trial in range(30):

@@ -7,11 +7,12 @@ import pytest
 
 from invlab import bench as bench_mod
 from invlab.cli import cli_dispatch
+from invlab import decycle as decycle_mod
 from invlab.decycle import (
     CYCLE_FIRST,
     PAIRWISE,
     STRATEGIES,
-    Strategy,
+    Decycling,
     decycle_dense,
     decycle_opt_dense,
     decycle_via_fas,
@@ -169,7 +170,38 @@ class TestCliVerbs:
         g.write_text(graph_to_json(D))
         code, out, _ = run_cli(capsys, "decycle", "--p", "4", "--strategy", strategy, str(g))
         assert code == 0
-        assert out == family_to_json(public[strategy](D, 4))
+        assert out == family_to_json(public[strategy](D, 4).family)
+
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [
+            ("fas", {"decycle_via_fas": 1}),
+            ("2fas", {"decycle_via_fas": 1}),
+            ("dense", {"decycle_dense": 1, "decycle_via_fas": 1}),
+            ("opt-dense", {"decycle_opt_dense": 1, "decycle_via_fas": 1}),
+        ],
+    )
+    def test_decycle_calls_pipelines_by_module_attribute(
+        self, strategy, expected, tmp_path, capsys, monkeypatch
+    ):
+        # a wrapper installed on an invlab.decycle pipeline attribute, as a
+        # tracer installs one, sees every pipeline call a CLI op makes
+        calls = {}
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("decycle_via_fas", "decycle_dense", "decycle_opt_dense"):
+            monkeypatch.setattr(decycle_mod, name, counting(name, getattr(decycle_mod, name)))
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(random_tournament(14, 5)))
+        code, _, _ = run_cli(capsys, "decycle", "--p", "4", "--strategy", strategy, str(g))
+        assert code == 0
+        assert calls == expected
 
     def test_decycle_dot_trace(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -385,6 +417,11 @@ class TestCliMalformedInput:
             ("random_oriented", "--n", "6", "--density", "7"),
             ("tt", "--n", "6", "--seed", "1"),
             ("random_tournament", "--n", "6", "--density", "0.5"),
+            ("tt", "--n", "3", "--p", "9", "--input", "nothere.json"),
+            ("lift", "--k33", "--n", "5", "--seed", "3"),
+            ("lift", "--k33", "--dot"),
+            ("tt", "--n", "3", "--names", "x.json"),
+            ("shec", "--k33", "--p", "3", "--input", "nothere.json"),
         ],
     )
     def test_malformed_generator_flags(self, capsys, argv):
@@ -448,11 +485,11 @@ class TestBench:
         real = STRATEGIES["fas"]
 
         def corrupted(D, p, trace=None):
-            run = real.pipeline(D, p, trace=trace)
+            run = real(D, p, trace=trace)
             fam = run.family
-            return run._replace(family=InversionFamily(fam.sets[1:], fam.p, fam.mode))
+            return Decycling(InversionFamily(fam.sets[1:], fam.p, fam.mode), run.bound)
 
-        monkeypatch.setitem(STRATEGIES, "fas", Strategy(corrupted, real.bound))
+        monkeypatch.setitem(STRATEGIES, "fas", corrupted)
         rows = bench_mod.bench_suite(
             [
                 {

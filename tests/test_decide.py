@@ -347,10 +347,11 @@ class TestOrientedGraphInvertible:
                 expect = exact_inv(D, p, EXACT) is not None
                 assert got == expect, (seed, p)
 
-    def test_hard_slot_over_push_cap_is_unsupported(self):
+    def test_hard_slot_over_push_cap_is_unsupported(self, monkeypatch):
+        monkeypatch.setattr(decide_mod, "PUSH_SCAN_LIMIT", 8)
         D = random_tournament(12, 0)
         with pytest.raises(UnsupportedRangeError):
-            oriented_graph_invertible(D, 11, push_limit=8)
+            oriented_graph_invertible(D, 11)
 
 
 class TestExtendToInvertibleTournament:

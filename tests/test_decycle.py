@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from invlab.decycle import (
     CYCLE_FIRST,
+    STRATEGIES,
     _greedy_even_cycles,
     NARROW,
     PAIRWISE,
@@ -34,6 +35,7 @@ from invlab.graphs import (
     backward_arcs,
     fas_exact,
     fas_heuristic,
+    feedback_arc_set,
     invert,
     is_acyclic,
 )
@@ -321,13 +323,13 @@ class TestGreedyEvenCyclesMatchesReference:
 
 class TestDecycleViaFas:
     def test_acyclic_short_circuit(self):
-        assert len(decycle_via_fas(transitive_tournament(8), 4)) == 0
+        assert len(decycle_via_fas(transitive_tournament(8), 4).family) == 0
 
     def test_reversed_arc_tournament(self):
         T8 = reversed_arc_tournament(8)
         fas = fas_exact(T8)
         assert fas.size == 1
-        fam = decycle_via_fas(T8, 4)
+        fam = decycle_via_fas(T8, 4).family
         assert len(fam) <= 12
         assert is_acyclic(apply_family(T8, fam))
         assert all(len(X) == 4 for X in fam.sets)
@@ -337,7 +339,7 @@ class TestDecycleViaFas:
             D = random_tournament(10, 20 + seed)
             fas = fas_exact(D)
             for strategy in (PAIRWISE, CYCLE_FIRST):
-                fam = decycle_via_fas(D, 4, strategy, fas=fas)
+                fam = decycle_via_fas(D, 4, strategy, fas=fas).family
                 assert is_acyclic(apply_family(D, fam))
                 assert len(fam) <= (2 * 4 - 2) * (fas.size + 1)
                 assert all(len(X) == 4 for X in fam.sets)
@@ -346,7 +348,7 @@ class TestDecycleViaFas:
         for seed in range(10):
             D = random_tournament(9, 50 + seed)
             fas = fas_exact(D)
-            fam = decycle_via_fas(D, 4, CYCLE_FIRST, fas=fas)
+            fam = decycle_via_fas(D, 4, CYCLE_FIRST, fas=fas).family
             assert len(fam) <= 2 * fas.size + 2 * 4 * D.n
 
     def test_odd_p_rejected(self):
@@ -393,12 +395,12 @@ class TestGreedyReduce:
 
 class TestDecycleDense:
     def test_acyclic(self):
-        assert len(decycle_dense(transitive_tournament(8), 4)) == 0
+        assert len(decycle_dense(transitive_tournament(8), 4).family) == 0
 
     def test_random_composite_bound(self):
         for seed in range(8):
             D = random_tournament(12, 90 + seed)
-            fam = decycle_dense(D, 4)
+            fam = decycle_dense(D, 4).family
             assert is_acyclic(apply_family(D, fam))
             red = greedy_reduce(D, 4)
             inner_fas = fas_exact(red.reduced)
@@ -440,7 +442,7 @@ def _edge_bits(edges, n):
 
 class TestDecycleOptDense:
     def test_acyclic(self):
-        assert len(decycle_opt_dense(transitive_tournament(8), 4)) == 0
+        assert len(decycle_opt_dense(transitive_tournament(8), 4).family) == 0
 
     def test_planted_biclique_fas_beats_plain_pipeline(self):
         parts = [list(range(4 * i, 4 * i + 4)) for i in range(4)]
@@ -453,8 +455,8 @@ class TestDecycleOptDense:
         D = OrientedGraph.from_arcs(16, arcs)
         fas = fas_exact(D)
         assert fas.size == 16
-        plain = decycle_via_fas(D, 4, fas=fas)
-        opt = decycle_opt_dense(D, 4)
+        plain = decycle_via_fas(D, 4, fas=fas).family
+        opt = decycle_opt_dense(D, 4).family
         assert is_acyclic(apply_family(D, opt))
         assert len(opt) < len(plain)
         assert len(opt) == 4
@@ -462,9 +464,50 @@ class TestDecycleOptDense:
     def test_generic_random(self):
         for seed in range(6):
             D = random_tournament(10, 110 + seed)
-            fam = decycle_opt_dense(D, 4)
+            fam = decycle_opt_dense(D, 4).family
             assert is_acyclic(apply_family(D, fam))
             assert all(len(X) == 4 for X in fam.sets)
+
+
+def _readme_bound(strategy, D, p):
+    """The README table's bound for a strategy, from a minimum feedback arc
+    set of the graph its fas stage decycles (0 when that graph is acyclic),
+    or None when only a heuristic one is known."""
+    if strategy == "opt-dense":
+        return D.arc_count
+    stage = greedy_reduce(D, p).reduced if strategy == "dense" else D
+    if is_acyclic(stage):
+        fas = 0
+    else:
+        result = feedback_arc_set(stage)
+        if not result.exact:
+            return None
+        fas = result.size
+    if strategy == "2fas":
+        return 2 * fas + 2 * p * D.n
+    bound = (2 * p - 2) * (fas + 1)
+    return D.arc_count // (p - 1) + bound if strategy == "dense" else bound
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+@pytest.mark.parametrize(
+    "D, heuristic",
+    [
+        (random_tournament(10, 7), False),
+        (random_tournament(16, 7), False),
+        (random_tournament(24, 7), True),
+        (transitive_tournament(24), False),  # acyclic: the formula at fas = 0
+    ],
+    ids=["rt10", "rt16", "rt24", "tt24"],
+)
+def test_pipeline_bound_is_the_readme_formula(strategy, D, heuristic):
+    run = STRATEGIES[strategy](D, 4)
+    bound = _readme_bound(strategy, D, 4)
+    assert run.bound == bound
+    # a bound on a heuristic feedback arc set is unknown, except |A(D)|
+    assert (bound is None) == (heuristic and strategy != "opt-dense")
+    if bound is not None:
+        assert len(run.family) <= bound
 
 
 class TestSandwich:
@@ -482,7 +525,8 @@ class TestSandwich:
             eq = exact_inv(D, 4, EXACT)
             assert le is not None and eq is not None
             assert le <= eq <= (4 * 4 - 4) * 6 * le
-            for fam in (decycle_via_fas(D, 4), decycle_via_fas(D, 4, CYCLE_FIRST)):
+            for strategy in (PAIRWISE, CYCLE_FIRST):
+                fam = decycle_via_fas(D, 4, strategy).family
                 assert len(fam) >= eq
             checked += 1
 
@@ -494,13 +538,13 @@ class TestVerifyFamily:
 
     def test_pipeline_output_verifies(self):
         D = random_tournament(9, 33)
-        fam = decycle_via_fas(D, 4)
+        fam = decycle_via_fas(D, 4).family
         rep = verify_family(D, fam, 4, EXACT)
         assert rep.sizes_ok and rep.acyclic
 
     def test_corrupted_family_flagged(self):
         D = random_tournament(9, 34)
-        fam = decycle_via_fas(D, 4)
+        fam = decycle_via_fas(D, 4).family
         assert len(fam) > 0
         broken = InversionFamily(fam.sets[1:], 4, EXACT)
         rep = verify_family(D, broken, 4, EXACT)

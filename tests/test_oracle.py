@@ -241,9 +241,10 @@ class TestSingleInversionDecycles:
             slow = _reference_scan(T, 3)
             assert fast == slow, seed
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            single_inversion_decycles(random_tournament(40, 0), 10, AT_MOST, limit=100)
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "MOVE_ENUM_LIMIT", 100)
+        with pytest.raises(CapacityError, match="exceed scan limit 100"):
+            single_inversion_decycles(random_tournament(40, 0), 10, AT_MOST)
 
 
 def _reference_scan(D, p):

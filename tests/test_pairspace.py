@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oriented_graphs, tournaments
+from invlab import pairspace as pairspace_mod
 from invlab.decycle import decycle_via_fas
 from invlab.errors import CapacityError, InputError, UnsupportedRangeError
 from invlab.graphs import AT_MOST, EXACT, InversionFamily, apply_family, invert
@@ -233,9 +234,10 @@ class TestSpanMembership:
                     assert acc == u
                     assert all(len(X) == p for X in fam.sets)
 
-    def test_witness_capacity(self):
-        with pytest.raises(CapacityError):
-            span_witness_bruteforce(PairVector.zero(40), 20, 40, limit=1000)
+    def test_witness_capacity(self, monkeypatch):
+        monkeypatch.setattr(pairspace_mod, "SPAN_WITNESS_LIMIT", 1000)
+        with pytest.raises(CapacityError, match="exceed limit 1000"):
+            span_witness_bruteforce(PairVector.zero(40), 20, 40)
 
 
 def _signature_masks(n, p):

@@ -18,7 +18,6 @@ from .graphs import (
     is_tournament,
     out_even_count,
     push,
-    topological_order,
 )
 from .pairspace import (
     PairVector,

@@ -6,7 +6,6 @@ exhaustive push scan behind a capacity limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,6 +15,7 @@ from .graphs import (
     ACYCLIC_CHUNK,
     OrientedGraph,
     UndirectedGraph,
+    _bits,
     acyclic_columns,
     complement_of_underlying,
     complete_low_to_high,
@@ -27,30 +27,6 @@ from .pairspace import encode_tournament, signatures_equal
 
 # pushable_bruteforce refuses graphs with more vertices
 PUSH_SCAN_LIMIT = 22
-
-
-@dataclass(frozen=True)
-class ParityBipartition:
-    """Vertices split by out-degree parity: v1 even, v2 odd."""
-
-    v1: tuple[int, ...]
-    v2: tuple[int, ...]
-
-    @classmethod
-    def of(cls, D: OrientedGraph) -> "ParityBipartition":
-        v1 = tuple(v for v in range(D.n) if D.out_degree(v) % 2 == 0)
-        v2 = tuple(v for v in range(D.n) if D.out_degree(v) % 2 == 1)
-        return cls(v1, v2)
-
-
-@dataclass(frozen=True)
-class ComponentBounds:
-    """Feasible score range of one connected component: lower is 0/1 by parity,
-    upper is |K| or |K|-1, and the two always share their parity."""
-
-    component: tuple[int, ...]
-    lower: int
-    upper: int
 
 
 def tournaments_equivalent(T1: OrientedGraph, T2: OrientedGraph, p: int) -> bool:
@@ -76,60 +52,69 @@ def tournament_invertible(T: OrientedGraph, p: int) -> bool:
     return out_even_count(T) == (T.n + 1) // 2
 
 
+def _even_mask(n: int, v1: Sequence[int], v2: Sequence[int]) -> int:
+    """The bitmask of v1, after checking that (v1, v2) partitions range(n)."""
+    s1, s2 = set(v1), set(v2)
+    if s1 & s2 or s1 | s2 != set(range(n)):
+        raise InputError("(v1, v2) must partition the vertices")
+    return sum(1 << v for v in s1)
+
+
+def _parity_classes(D: OrientedGraph) -> tuple[list[int], list[int]]:
+    """D's vertices split by out-degree parity: even, then odd."""
+    even = [v for v in range(D.n) if D.out_degree(v) % 2 == 0]
+    return even, [v for v in range(D.n) if D.out_degree(v) % 2 == 1]
+
+
 def parity_match_count(G: OrientedGraph, v1: Sequence[int], v2: Sequence[int]) -> int:
     """Vertices of v1 with even out-degree plus vertices of v2 with odd out-degree."""
-    s1, s2 = set(v1), set(v2)
-    if s1 & s2 or len(s1) + len(s2) != G.n or s1 | s2 != set(range(G.n)):
-        raise InputError("(v1, v2) must partition the vertices")
-    score = 0
-    for v in range(G.n):
-        even = G.out_degree(v) % 2 == 0
-        if (v in s1 and even) or (v in s2 and not even):
-            score += 1
-    return score
+    even = _even_mask(G.n, v1, v2)
+    return sum(1 for v, m in enumerate(G.out) if m.bit_count() % 2 != even >> v & 1)
 
 
-def component_bounds(G: UndirectedGraph, v1: Sequence[int]) -> list[ComponentBounds]:
-    s1 = set(v1)
-    out = []
-    for comp in G.components():
-        cset = set(comp)
-        e = sum(1 for a, b in G.edges() if a in cset)
-        base = (len(s1 & cset) + e) % 2
-        upper = len(comp) if (len(s1 & cset) + e + len(comp)) % 2 == 0 else len(comp) - 1
-        out.append(ComponentBounds(tuple(comp), base, upper))
-    return out
+def _spanning_forest(
+    G: UndirectedGraph, even: int
+) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+    """A BFS spanning forest of G and the score range of each component.
+
+    Returns the parent of every vertex (-1 at a root) and, per component in
+    order of its smallest vertex, (order, lower, upper): order lists the
+    component root first, every vertex after its parent.  The component's
+    parity-match score takes every value of one parity from lower to upper.
+    That parity is |even & K| + |E(K)| mod 2, since the out-degrees on K sum
+    to |E(K)|, so lower is 0 or 1 and upper is |K| or |K| - 1.
+    """
+    parent = [-1] * G.n
+    comps = []
+    unseen = (1 << G.n) - 1
+    while unseen:
+        root = unseen & -unseen
+        unseen ^= root
+        order, mask = [root.bit_length() - 1], root
+        for u in order:  # the loop also visits the vertices appended below
+            fresh = G.adj[u] & unseen
+            unseen ^= fresh
+            mask |= fresh
+            for v in _bits(fresh):
+                parent[v] = u
+                order.append(v)
+        edges = sum(G.adj[v].bit_count() for v in order) // 2
+        lower = ((even & mask).bit_count() + edges) % 2
+        comps.append((order, lower, len(order) - (len(order) + lower) % 2))
+    return parent, comps
+
+
+def _attainable(s: int, comps: list[tuple[list[int], int, int]]) -> bool:
+    """Whether the component scores of _spanning_forest can add up to s."""
+    lower = sum(c[1] for c in comps)
+    return (s - lower) % 2 == 0 and lower <= s <= sum(c[2] for c in comps)
 
 
 def orientation_feasible(
     G: UndirectedGraph, v1: Sequence[int], v2: Sequence[int], s: int
 ) -> bool:
     """Whether G has an orientation whose parity-match score for (v1, v2) is s."""
-    s1, s2 = set(v1), set(v2)
-    if s1 & s2 or s1 | s2 != set(range(G.n)):
-        raise InputError("(v1, v2) must partition the vertices")
-    if s % 2 != (len(s1) + G.edge_count) % 2:
-        return False
-    bounds = component_bounds(G, v1)
-    return sum(b.lower for b in bounds) <= s <= sum(b.upper for b in bounds)
-
-
-def _bfs_path(G: UndirectedGraph, comp: Sequence[int], a: int, b: int) -> list[int]:
-    prev = {a: a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(w for w in comp if G.has_edge(u, w)):
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return _attainable(s, _spanning_forest(G, _even_mask(G.n, v1, v2))[1])
 
 
 def construct_orientation(
@@ -137,53 +122,35 @@ def construct_orientation(
 ) -> OrientedGraph:
     """An orientation of exactly E(G) attaining parity-match score s.
 
-    Per component we fix a target subset X of the right size, orient low -> high,
-    then repeatedly reverse a path between the two smallest vertices that are
-    not yet good; each reversal fixes both endpoints and disturbs nobody else.
+    Each component gets a score in its range, and the first that many
+    vertices of its BFS order are to match.  Edges off the spanning forest
+    run low -> high; then, children before parents, each tree edge is
+    oriented so that the child gets the out-degree parity it needs.  Every
+    root then has its parity too, as the component's out-degrees sum to its
+    edge count.
     """
-    if not orientation_feasible(G, v1, v2, s):
+    even = _even_mask(G.n, v1, v2)
+    parent, comps = _spanning_forest(G, even)
+    if not _attainable(s, comps):
         raise InputError(f"no orientation attains score {s}")
-    s1 = set(v1)
-    bounds = component_bounds(G, v1)
-    deficit = s - sum(b.lower for b in bounds)
-    targets = []
-    for b in bounds:
-        take = min(deficit, b.upper - b.lower)
-        targets.append(b.lower + take)
-        deficit -= take
-    assert deficit == 0
-
-    out = [0] * G.n
-    for b, goal in zip(bounds, targets):
-        comp = list(b.component)
-        edges = [(u, v) for u, v in G.edges() if u in set(comp)]
-        direction = {e: e for e in edges}  # oriented low -> high initially
-        X = set(comp[:goal])
-
-        def out_deg(v: int) -> int:
-            return sum(1 for e in edges if direction[e][0] == v)
-
-        def good(v: int) -> bool:
-            even = out_deg(v) % 2 == 0
-            want_even = (v in s1) == (v in X)
-            return even == want_even
-
-        while True:
-            bad = [v for v in comp if not good(v)]
-            if not bad:
-                break
-            assert len(bad) >= 2
-            a, c = bad[0], bad[1]
-            path = _bfs_path(G, comp, a, c)
-            for u, v in zip(path, path[1:]):
-                e = (min(u, v), max(u, v))
-                x, y = direction[e]
-                direction[e] = (y, x)
-        for e in edges:
-            x, y = direction[e]
-            out[x] |= 1 << y
+    # every edge low -> high, then the tree edges taken out
+    out = [m >> (u + 1) << (u + 1) for u, m in enumerate(G.adj)]
+    for v, u in enumerate(parent):
+        if u >= 0:
+            out[min(u, v)] ^= 1 << max(u, v)
+    spare = s - sum(c[1] for c in comps)
+    for order, lower, upper in comps:
+        take = min(spare, upper - lower)
+        spare -= take
+        # a vertex of v1 matches with even out-degree, one of v2 with odd
+        odd = even ^ sum(1 << v for v in order[: lower + take])
+        for v in reversed(order[1:]):
+            if out[v].bit_count() % 2 != odd >> v & 1:
+                out[v] |= 1 << parent[v]
+            else:
+                out[parent[v]] |= 1 << v
     oriented = OrientedGraph(G.n, tuple(out))
-    assert parity_match_count(oriented, list(v1), list(v2)) == s
+    assert parity_match_count(oriented, v1, v2) == s
     return oriented
 
 
@@ -242,9 +209,9 @@ def oriented_graph_invertible(D: OrientedGraph, p: int) -> bool:
             ) from exc
     if p % 2 == 0:
         return True
-    part = ParityBipartition.of(D)
-    G = complement_of_underlying(D)
-    return orientation_feasible(G, part.v1, part.v2, (n + 1) // 2)
+    return orientation_feasible(
+        complement_of_underlying(D), *_parity_classes(D), (n + 1) // 2
+    )
 
 
 def extend_to_invertible_tournament(
@@ -259,12 +226,12 @@ def extend_to_invertible_tournament(
         raise InputError("p must be at least 2")
     if p % 2 == 0:
         return complete_low_to_high(D)
-    part = ParityBipartition.of(D)
     G = complement_of_underlying(D)
+    v1, v2 = _parity_classes(D)
     s = (n + 1) // 2
-    if not orientation_feasible(G, part.v1, part.v2, s):
+    if not orientation_feasible(G, v1, v2, s):
         return None
-    oriented = construct_orientation(G, part.v1, part.v2, s)
+    oriented = construct_orientation(G, v1, v2, s)
     out = tuple(D.out[v] | oriented.out[v] for v in range(n))
     T = OrientedGraph(n, out)
     assert is_tournament(T) and tournament_invertible(T, p)

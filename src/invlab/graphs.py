@@ -8,7 +8,6 @@ return new graphs.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -213,31 +212,6 @@ def push(D: OrientedGraph, X: Iterable[int]) -> OrientedGraph:
         for v in _bits(flipped[u]):
             res[v] |= 1 << u
     return OrientedGraph(D.n, tuple(res))
-
-
-def topological_order(D: OrientedGraph) -> Optional[list[int]]:
-    """Smallest-index-first Kahn ordering, or None if D has a directed cycle."""
-    indeg = [0] * D.n
-    for m in D.out:
-        while m:
-            b = m & -m
-            indeg[b.bit_length() - 1] += 1
-            m ^= b
-    heap = [v for v in range(D.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        m = D.out[u]
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-            m ^= b
-    return order if len(order) == D.n else None
 
 
 def find_cycle(D: OrientedGraph) -> Optional[list[int]]:
@@ -492,30 +466,8 @@ class UndirectedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in _bits(self.adj[u]):
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
 
 
 def complement_of_underlying(D: OrientedGraph) -> UndirectedGraph:

@@ -27,9 +27,8 @@ from .graphs import (
     AT_MOST,
     EXACT,
     OrientedGraph,
+    _bits,
     acyclic_columns,
-    invert,
-    is_acyclic,
     is_tournament,
 )
 from .pairspace import _reduce, encode_set
@@ -58,6 +57,22 @@ def _check_state_bits(m: int, cap_bits: Optional[int]) -> None:
         )
 
 
+def _subset_masks(a: int, sizes: Iterable[int], what: str) -> np.ndarray:
+    """Every subset of range(a) whose size is in sizes, as uint64 bitmasks
+    (a <= 64): sizes in the given order, lexicographic within a size.
+    Refuses more than MOVE_ENUM_LIMIT subsets."""
+    sizes = [s for s in sizes if 0 <= s <= a]
+    total = sum(math.comb(a, s) for s in sizes)
+    if total > MOVE_ENUM_LIMIT:
+        raise CapacityError(f"{total} candidate sets exceed {what} limit {MOVE_ENUM_LIMIT}")
+    bit = [1 << i for i in range(a)]
+    return np.fromiter(
+        (sum(sub) for s in sizes for sub in itertools.combinations(bit, s)),
+        dtype=np.uint64,
+        count=total,
+    )
+
+
 def _restricted_moves(
     n: int, edges: tuple[tuple[int, int], ...], p: int, mode: str
 ) -> tuple[int, ...]:
@@ -75,17 +90,9 @@ def _restricted_moves(
         sizes = range(max(0, p - isolated), min(p, a) + 1)
     else:
         sizes = range(0, min(p, a) + 1)
-    total = sum(math.comb(a, s) for s in sizes)
-    if total > MOVE_ENUM_LIMIT:
-        raise CapacityError(f"{total} candidate sets exceed move limit {MOVE_ENUM_LIMIT}")
-    bit = [1 << i for i in range(a)]
-    chosen = np.fromiter(
-        (sum(sub) for s in sizes for sub in itertools.combinations(bit, s)),
-        dtype=np.uint64,
-        count=total,
-    )
+    chosen = _subset_masks(a, sizes, "move")
     row = {v: np.uint64(i) for i, v in enumerate(active)}
-    moves = np.zeros(total, dtype=np.uint64)
+    moves = np.zeros(chosen.size, dtype=np.uint64)
     for i, (u, v) in enumerate(edges):
         inside = (chosen >> row[u]) & (chosen >> row[v]) & np.uint64(1)
         moves |= inside << np.uint64(i)
@@ -109,6 +116,8 @@ class StateSpace:
 def state_space(
     D: OrientedGraph, p: int, mode: str = EXACT, cap_bits: Optional[int] = None
 ) -> StateSpace:
+    if p < 0:
+        raise InputError(f"p must be nonnegative (got {p})")
     edges = tuple(D.underlying_pairs())
     _check_state_bits(len(edges), cap_bits)
     return StateSpace(D, edges, _restricted_moves(D.n, edges, p, mode))
@@ -229,11 +238,20 @@ def reachable(
     return not _reduce(target, 0, _span_basis(space.moves))[0]
 
 
+def _tournament_state_bits(n: int, p: int, cap_bits: Optional[int]) -> int:
+    """C(n, 2), the state bits of the n-vertex tournaments, once n and p are
+    checked to be nonnegative and the bits to fit the state cap."""
+    if n < 0 or p < 0:
+        raise InputError(f"n and p must be nonnegative (got n={n}, p={p})")
+    m = n * (n - 1) // 2
+    _check_state_bits(m, cap_bits)
+    return m
+
+
 def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
     """Reachability-class label of every one of the 2^C(n,2) labelled
     tournaments, states laid out in the colexicographic pair order."""
-    m = n * (n - 1) // 2
-    _check_state_bits(m, cap_bits)
+    m = _tournament_state_bits(n, p, cap_bits)
     moves_set = {encode_set(X, n).bits for X in itertools.combinations(range(n), p)}
     moves_set.discard(0)
     moves = np.array(sorted(moves_set), dtype=np.uint32)
@@ -254,68 +272,34 @@ def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> list[int]:
     are 2^(m-r) of them, each of size 2^r, where r is the rank of that span
     over F2.  This is generic linear algebra over the enumerated generators,
     not the paper's parity theorem; orbit_labels is the BFS reference."""
-    m = n * (n - 1) // 2
-    _check_state_bits(m, cap_bits)
+    m = _tournament_state_bits(n, p, cap_bits)
     generators = (encode_set(X, n).bits for X in itertools.combinations(range(n), p))
     r = len(_span_basis(generators))
     return [1 << r] * (1 << (m - r))
-
-
-def _transitive_scan_factory(D: OrientedGraph):
-    """O(|X|^2) membership test 'Inv(D, X) is transitive' for tournaments,
-    tracked through an out-degree multiset."""
-    n = D.n
-    deg = D.out_degrees()
-    count = [0] * n
-    for d in deg:
-        count[d] += 1
-    dup = sum(c - 1 for c in count if c > 1)
-
-    def qualifies(X: tuple[int, ...]) -> bool:
-        nonlocal dup
-        changes = []
-        for v in X:
-            wins = sum(1 for w in X if w != v and D.has_arc(v, w))
-            new = deg[v] - wins + (len(X) - 1 - wins)
-            changes.append((deg[v], new))
-        ok_dup = dup
-        for old, new in changes:
-            if count[old] > 1:
-                ok_dup -= 1
-            count[old] -= 1
-            if count[new] >= 1:
-                ok_dup += 1
-            count[new] += 1
-        hit = ok_dup == 0
-        for old, new in changes:  # undo
-            count[new] -= 1
-            count[old] += 1
-        return hit
-
-    return qualifies
 
 
 def single_inversion_decycles(
     D: OrientedGraph, p: int, mode: str = AT_MOST
 ) -> Optional[frozenset[int]]:
     """First vertex set (sizes ascending, lexicographic within a size) whose
-    single inversion makes D acyclic, or None when no such set exists."""
+    single inversion makes D acyclic, or None when no such set exists.
+
+    The candidate sets are tested in batches by acyclic_columns, so D may have
+    at most 64 vertices."""
     if mode not in (EXACT, AT_MOST):
         raise InputError(f"unknown mode {mode!r}")
-    sizes = [p] if mode == EXACT else list(range(0, p + 1))
-    sizes = [s for s in sizes if s <= D.n]
-    total = sum(math.comb(D.n, s) for s in sizes)
-    if total > MOVE_ENUM_LIMIT:
-        raise CapacityError(f"{total} candidate sets exceed scan limit {MOVE_ENUM_LIMIT}")
-    tournament_scan = is_tournament(D)
-    qualifies = _transitive_scan_factory(D) if tournament_scan else None
-    for s in sizes:
-        for X in itertools.combinations(range(D.n), s):
-            if tournament_scan:
-                if qualifies(X):
-                    return frozenset(X)
-            elif is_acyclic(invert(D, X)):
-                return frozenset(X)
+    if D.n > 64:
+        raise CapacityError(f"single-inversion scan limited to 64 vertices (got {D.n})")
+    sets = _subset_masks(D.n, [p] if mode == EXACT else range(p + 1), "scan")
+    out = np.array(D.out, dtype=np.uint64)[:, None]
+    und = np.array(D.underlying_masks(), dtype=np.uint64)[:, None]
+    shifts = np.arange(D.n, dtype=np.uint64)[:, None]
+    for lo in range(0, sets.size, ACYCLIC_CHUNK):
+        X = sets[lo : lo + ACYCLIC_CHUNK]
+        # a member u of X reverses its arcs to X: out[u] ^= X & und[u]
+        hits = acyclic_columns(out ^ ((X >> shifts) & np.uint64(1)) * (X & und))
+        if hits.any():
+            return frozenset(_bits(int(X[np.argmax(hits)])))
     return None
 
 

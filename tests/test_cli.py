@@ -265,6 +265,22 @@ class TestCliVerbs:
         payload = json.loads(out)
         assert payload["classes"] == 16
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--n", "5", "--p", "-1"),
+            ("census", "--n", "-1", "--p", "3"),
+            ("exact", "--p", "-1"),
+        ],
+    )
+    def test_negative_n_or_p_is_input_error(self, tmp_path, capsys, argv):
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(random_tournament(4, 1)))
+        args = (*argv, str(g)) if argv[0] == "exact" else argv
+        code, out, err = run_cli(capsys, *args)
+        assert code == 4 and out == ""
+        assert "input error" in err and "Traceback" not in err
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text(graph_to_json(random_tournament(9, 8)))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import oriented_graphs
 from invlab import decide as decide_mod
 from invlab.decide import (
-    ParityBipartition,
-    component_bounds,
+    _parity_classes,
+    _spanning_forest,
     construct_orientation,
     extend_to_invertible_tournament,
     orientation_feasible,
@@ -202,10 +202,16 @@ class TestOrientationFeasible:
 
     def test_component_bounds_invariants(self):
         G = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
-        for b in component_bounds(G, [0, 3, 5]):
-            assert b.lower in (0, 1)
-            assert b.upper in (len(b.component) - 1, len(b.component))
-            assert b.lower % 2 == b.upper % 2
+        parent, comps = _spanning_forest(G, 0b101001)  # v1 = {0, 3, 5}
+        assert [sorted(order) for order, _, _ in comps] == [[0, 1, 2], [3, 4], [5, 6]]
+        for order, lower, upper in comps:
+            assert lower in (0, 1)
+            assert upper in (len(order) - 1, len(order))
+            assert lower % 2 == upper % 2
+            # a tree: the root has no parent, every other vertex follows its own
+            assert parent[order[0]] == -1
+            for i, v in enumerate(order[1:], 1):
+                assert parent[v] in order[:i] and G.has_edge(v, parent[v])
 
 
 class TestConstructOrientation:
@@ -387,5 +393,14 @@ class TestExtendToInvertibleTournament:
     @given(oriented_graphs(min_n=5, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_parity_bipartition_partitions(self, D):
-        part = ParityBipartition.of(D)
-        assert sorted(part.v1 + part.v2) == list(range(D.n))
+        v1, v2 = _parity_classes(D)
+        assert sorted(v1 + v2) == list(range(D.n))
+        assert all(D.out_degree(v) % 2 == 0 for v in v1)
+
+    def test_dense_200_vertices(self):
+        # the constructive branch at a size where the decision is the point
+        D = random_oriented_graph(200, 0.5, 7)
+        T = extend_to_invertible_tournament(D, 3)
+        assert T is not None and is_tournament(T)
+        assert all(T.has_arc(u, v) for u, v in D.arcs())
+        assert tournament_invertible(T, 3)

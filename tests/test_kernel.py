@@ -13,7 +13,6 @@ from invlab.graphs import (
     invert,
     is_acyclic,
     is_tournament,
-    topological_order,
 )
 from invlab.generate import random_tournament, transitive_tournament
 from invlab.kernel import (
@@ -104,7 +103,9 @@ class TestDelvertexStep:
         stripped = T
         for u, v in minimal:
             stripped = invert(stripped, {u, v})
-        sigma = topological_order(stripped)
+        # an acyclic tournament is ordered by descending out-degree
+        assert is_acyclic(stripped)
+        sigma = sorted(range(stripped.n), key=lambda v: -stripped.out_degree(v))
         pos = {v: i for i, v in enumerate(sigma)}
         assert all(pos[b] < pos[a] for a, b in minimal)
 

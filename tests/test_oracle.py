@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oriented_graphs, tournaments
 from invlab.decide import oriented_graph_invertible
 from invlab.errors import CapacityError
 from invlab.graphs import (
@@ -18,6 +19,7 @@ from invlab.graphs import (
     fas_exact,
     invert,
     is_acyclic,
+    is_tournament,
 )
 from invlab import oracle as oracle_mod
 from invlab.generate import (
@@ -38,6 +40,7 @@ from invlab.oracle import (
     single_inversion_decycles,
     state_space,
 )
+from test_kernel import _one_set_plant
 
 
 def _decode(space, state):
@@ -241,10 +244,78 @@ class TestSingleInversionDecycles:
             slow = _reference_scan(T, 3)
             assert fast == slow, seed
 
+    @given(
+        st.one_of(oriented_graphs(max_n=9), tournaments(max_n=9)),
+        st.integers(0, 4),
+        st.sampled_from([EXACT, AT_MOST]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_path_scan(self, D, p, mode):
+        assert single_inversion_decycles(D, p, mode) == _two_path_scan(D, p, mode)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_two_path_scan_on_kernel_plants(self, seed):
+        T, _ = _one_set_plant(seed)  # n 51-60, one 3-set decycles it
+        got = single_inversion_decycles(T, 3, AT_MOST)
+        assert got is not None and got == _two_path_scan(T, 3, AT_MOST)
+
+    def test_more_than_64_vertices_refused(self):
+        with pytest.raises(CapacityError, match="64 vertices"):
+            single_inversion_decycles(transitive_tournament(65), 2, AT_MOST)
+
     def test_capacity(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "MOVE_ENUM_LIMIT", 100)
         with pytest.raises(CapacityError, match="exceed scan limit 100"):
             single_inversion_decycles(random_tournament(40, 0), 10, AT_MOST)
+
+
+def _transitive_scan_factory(D):
+    """O(|X|^2) membership test 'Inv(D, X) is transitive' for tournaments,
+    tracked through an out-degree multiset."""
+    n = D.n
+    deg = D.out_degrees()
+    count = [0] * n
+    for d in deg:
+        count[d] += 1
+    dup = sum(c - 1 for c in count if c > 1)
+
+    def qualifies(X):
+        changes = []
+        for v in X:
+            wins = sum(1 for w in X if w != v and D.has_arc(v, w))
+            new = deg[v] - wins + (len(X) - 1 - wins)
+            changes.append((deg[v], new))
+        ok_dup = dup
+        for old, new in changes:
+            if count[old] > 1:
+                ok_dup -= 1
+            count[old] -= 1
+            if count[new] >= 1:
+                ok_dup += 1
+            count[new] += 1
+        hit = ok_dup == 0
+        for old, new in changes:  # undo
+            count[new] -= 1
+            count[old] += 1
+        return hit
+
+    return qualifies
+
+
+def _two_path_scan(D, p, mode):
+    """The per-set scan single_inversion_decycles replaced: an out-degree
+    multiset test on tournaments, an inversion and a cycle search otherwise."""
+    sizes = [p] if mode == EXACT else list(range(0, p + 1))
+    tournament_scan = is_tournament(D)
+    qualifies = _transitive_scan_factory(D) if tournament_scan else None
+    for s in sizes:
+        for X in itertools.combinations(range(D.n), s):
+            if tournament_scan:
+                if qualifies(X):
+                    return frozenset(X)
+            elif is_acyclic(invert(D, X)):
+                return frozenset(X)
+    return None
 
 
 def _reference_scan(D, p):

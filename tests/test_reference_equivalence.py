@@ -43,7 +43,6 @@ from invlab.graphs import (
     induced_subgraph,
     invert,
     is_acyclic,
-    topological_order,
 )
 from invlab.kernel import (
     KernelConfig,
@@ -384,8 +383,6 @@ class TestGraphPrimitives:
         assert D.in_masks() == _reference_in_masks(D)
         assert D.underlying_masks() == _reference_underlying_masks(D)
         assert fas_heuristic(D) == _reference_fas_heuristic(D)
-        # None on every cyclic graph, the same Kahn order on the rest
-        assert topological_order(D) == _reference_topological_order(D)
         assert is_acyclic(D) == _reference_is_acyclic(D)
         cycle = find_cycle(D)
         if cycle is not None:
@@ -409,14 +406,14 @@ class TestGraphPrimitives:
     @settings(deadline=None)
     def test_acyclic_order(self, D, rng):
         # random oriented graphs are mostly cyclic; orient D along a random
-        # ranking to compare the orders themselves
+        # ranking to test acyclic ones too
         rank = list(range(D.n))
         rng.shuffle(rank)
         dag = OrientedGraph.from_arcs(
             D.n, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in D.arcs()]
         )
-        assert topological_order(dag) == _reference_topological_order(dag)
-        assert is_acyclic(dag)
+        assert is_acyclic(dag) and _reference_is_acyclic(dag)
+        assert find_cycle(dag) is None
 
 
 class TestKernelStep:

@@ -20,7 +20,6 @@ from .graphs import (
     push,
 )
 from .pairspace import (
-    PairVector,
     ParitySignature,
     encode_set,
     encode_tournament,

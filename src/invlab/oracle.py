@@ -7,8 +7,8 @@ candidate inversion sets restricted to those edges, deduplicated (distinct
 sets inducing the same restriction collapse to one move).  Distances are
 BFS-exact; unreachability is reported as None, never as a sentinel number.
 The reachable states are the F2 span of the moves, so reachability and the
-class census are answered by Gaussian elimination; orbit_labels keeps a BFS
-as the independent reference.
+class census are answered by pairspace's Gaussian elimination; orbit_labels
+keeps a BFS as the independent reference.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .graphs import (
     acyclic_columns,
     is_tournament,
 )
-from .pairspace import _reduce, encode_set
+from .pairspace import _reduce, encode_set, span_basis
 
 DEFAULT_CAP_BITS = 22
 HARD_CAP_BITS = 26  # uint32 state arrays; the visited table alone is 2^m bytes
@@ -57,20 +57,16 @@ def _check_state_bits(m: int, cap_bits: Optional[int]) -> None:
         )
 
 
-def _subset_masks(a: int, sizes: Iterable[int], what: str) -> np.ndarray:
-    """Every subset of range(a) whose size is in sizes, as uint64 bitmasks
-    (a <= 64): sizes in the given order, lexicographic within a size.
-    Refuses more than MOVE_ENUM_LIMIT subsets."""
+def _subset_masks(a: int, sizes: Iterable[int], what: str) -> Iterator[int]:
+    """Every subset of range(a) whose size is in sizes, as int bitmasks drawn
+    lazily: sizes in the given order, lexicographic within a size.  Refuses
+    more than MOVE_ENUM_LIMIT subsets before yielding any."""
     sizes = [s for s in sizes if 0 <= s <= a]
     total = sum(math.comb(a, s) for s in sizes)
     if total > MOVE_ENUM_LIMIT:
         raise CapacityError(f"{total} candidate sets exceed {what} limit {MOVE_ENUM_LIMIT}")
     bit = [1 << i for i in range(a)]
-    return np.fromiter(
-        (sum(sub) for s in sizes for sub in itertools.combinations(bit, s)),
-        dtype=np.uint64,
-        count=total,
-    )
+    return (sum(sub) for s in sizes for sub in itertools.combinations(bit, s))
 
 
 def _restricted_moves(
@@ -90,7 +86,7 @@ def _restricted_moves(
         sizes = range(max(0, p - isolated), min(p, a) + 1)
     else:
         sizes = range(0, min(p, a) + 1)
-    chosen = _subset_masks(a, sizes, "move")
+    chosen = np.fromiter(_subset_masks(a, sizes, "move"), dtype=np.uint64)
     row = {v: np.uint64(i) for i, v in enumerate(active)}
     moves = np.zeros(chosen.size, dtype=np.uint64)
     for i, (u, v) in enumerate(edges):
@@ -135,8 +131,8 @@ def _bfs_layers(
         yield frontier
         if not moves.size:
             return
-        nxt = np.unique((frontier[:, None] ^ moves[None, :]).ravel())
-        frontier = nxt[~seen[nxt]]
+        nxt = (frontier[:, None] ^ moves[None, :]).ravel()
+        frontier = np.unique(nxt[~seen[nxt]])
         seen[frontier] = True
 
 
@@ -206,16 +202,6 @@ def exact_inv(
     return _bfs_until(space, 0, _acyclic_states(space))
 
 
-def _span_basis(vectors: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """Echelon basis of the F2 span of the vectors, keyed by pivot position."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for vec in vectors:
-        vec, _, pos = _reduce(vec, 0, pivots)
-        if vec:
-            pivots[pos] = (vec, 0)
-    return pivots
-
-
 def reachable(
     T1: OrientedGraph, T2: OrientedGraph, p: int, cap_bits: Optional[int] = None
 ) -> bool:
@@ -235,7 +221,7 @@ def reachable(
     for i, (u, v) in enumerate(space.edges):
         if T1.has_arc(u, v) != T2.has_arc(u, v):
             target |= 1 << i
-    return not _reduce(target, 0, _span_basis(space.moves))[0]
+    return not _reduce(target, 0, span_basis(space.moves))[0]
 
 
 def _tournament_state_bits(n: int, p: int, cap_bits: Optional[int]) -> int:
@@ -252,7 +238,7 @@ def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
     """Reachability-class label of every one of the 2^C(n,2) labelled
     tournaments, states laid out in the colexicographic pair order."""
     m = _tournament_state_bits(n, p, cap_bits)
-    moves_set = {encode_set(X, n).bits for X in itertools.combinations(range(n), p)}
+    moves_set = {encode_set(X, n) for X in itertools.combinations(range(n), p)}
     moves_set.discard(0)
     moves = np.array(sorted(moves_set), dtype=np.uint32)
     labels = np.full(1 << m, -1, dtype=np.int32)
@@ -273,8 +259,8 @@ def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> list[int]:
     over F2.  This is generic linear algebra over the enumerated generators,
     not the paper's parity theorem; orbit_labels is the BFS reference."""
     m = _tournament_state_bits(n, p, cap_bits)
-    generators = (encode_set(X, n).bits for X in itertools.combinations(range(n), p))
-    r = len(_span_basis(generators))
+    generators = (encode_set(X, n) for X in itertools.combinations(range(n), p))
+    r = len(span_basis(generators))
     return [1 << r] * (1 << (m - r))
 
 
@@ -284,8 +270,9 @@ def single_inversion_decycles(
     """First vertex set (sizes ascending, lexicographic within a size) whose
     single inversion makes D acyclic, or None when no such set exists.
 
-    The candidate sets are tested in batches by acyclic_columns, so D may have
-    at most 64 vertices."""
+    The candidate sets are enumerated and tested one batch at a time by
+    acyclic_columns, so an early hit ends the scan, and D may have at most 64
+    vertices."""
     if mode not in (EXACT, AT_MOST):
         raise InputError(f"unknown mode {mode!r}")
     if D.n > 64:
@@ -294,13 +281,14 @@ def single_inversion_decycles(
     out = np.array(D.out, dtype=np.uint64)[:, None]
     und = np.array(D.underlying_masks(), dtype=np.uint64)[:, None]
     shifts = np.arange(D.n, dtype=np.uint64)[:, None]
-    for lo in range(0, sets.size, ACYCLIC_CHUNK):
-        X = sets[lo : lo + ACYCLIC_CHUNK]
+    while True:
+        X = np.fromiter(itertools.islice(sets, ACYCLIC_CHUNK), dtype=np.uint64)
+        if not X.size:
+            return None
         # a member u of X reverses its arcs to X: out[u] ^= X & und[u]
         hits = acyclic_columns(out ^ ((X >> shifts) & np.uint64(1)) * (X & und))
         if hits.any():
             return frozenset(_bits(int(X[np.argmax(hits)])))
-    return None
 
 
 __all__ = [

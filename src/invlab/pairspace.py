@@ -1,10 +1,10 @@
-"""F2 vector space over unordered vertex pairs.
+"""F2 vector space over unordered vertex pairs, and the one GF(2)
+elimination of the package.
 
-Coordinates are fixed colexicographically: pair {i, j} with i < j sits at bit
-index j*(j-1)//2 + i, so the order is (0,1), (0,2), (1,2), (0,3), ...  The
-hex serialization writes the whole bit string as one little-endian integer in
-this layout, zero-padded to ceil(C(n,2)/4) digits.  Every routine in this
-module is pure.
+A vector is a plain nonnegative int: pair {i, j} with i < j is bit
+j*(j-1)//2 + i (colexicographic, so the order is (0,1), (0,2), (1,2), (0,3),
+...), and an n-vertex vector has no bit at or above C(n,2).  Every routine in
+this module is pure.
 """
 
 from __future__ import annotations
@@ -43,57 +43,12 @@ def incident_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class PairVector:
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> pair_count(self.n):
-            raise InputError("bits outside C(n,2) coordinates")
-
-    def __xor__(self, other: "PairVector") -> "PairVector":
-        if self.n != other.n:
-            raise InputError("XOR of PairVectors with different n")
-        return PairVector(self.n, self.bits ^ other.bits)
-
-    def get(self, i: int, j: int) -> int:
-        return self.bits >> pair_index(i, j) & 1
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for j in range(self.n):
-            for i in range(j):
-                if self.get(i, j):
-                    out.append((i, j))
-        return out
-
-    def to_hex(self) -> str:
-        width = max(1, (pair_count(self.n) + 3) // 4)
-        return format(self.bits, f"0{width}x")
-
-    @classmethod
-    def from_hex(cls, n: int, text: str) -> "PairVector":
-        return cls(n, int(text, 16))
-
-    @classmethod
-    def zero(cls, n: int) -> "PairVector":
-        return cls(n, 0)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PairVector":
-        bits = 0
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"pair ({i},{j}) out of range")
-            bits |= 1 << pair_index(i, j)
-        return cls(n, bits)
+def _check_vector(u: int, n: int) -> None:
+    if u < 0 or u >> pair_count(n):
+        raise InputError(f"vector has bits outside the C({n},2) pair coordinates")
 
 
-def encode_tournament(T: OrientedGraph) -> PairVector:
+def encode_tournament(T: OrientedGraph) -> int:
     """Backward-arc indicator: bit {i,j} (i<j) is set iff the arc runs j -> i."""
     if not is_tournament(T):
         raise InputError("encode_tournament needs a tournament")
@@ -101,10 +56,10 @@ def encode_tournament(T: OrientedGraph) -> PairVector:
     for u, v in T.arcs():
         if u > v:
             bits |= 1 << pair_index(v, u)
-    return PairVector(T.n, bits)
+    return bits
 
 
-def encode_set(X: Iterable[int], n: int) -> PairVector:
+def encode_set(X: Iterable[int], n: int) -> int:
     """Pair indicator of a vertex set: bit {i,j} set iff both ends lie in X."""
     xs = sorted(set(X))
     if xs and not (0 <= xs[0] and xs[-1] < n):
@@ -112,7 +67,7 @@ def encode_set(X: Iterable[int], n: int) -> PairVector:
     bits = 0
     for a, b in itertools.combinations(xs, 2):
         bits |= 1 << pair_index(a, b)
-    return PairVector(n, bits)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -138,62 +93,71 @@ def _check_range(p: int, n: int) -> None:
         raise UnsupportedRangeError(f"need n >= p + 2 (got n={n}, p={p})")
 
 
-def parity_signature(u: PairVector, p: int, n: int) -> ParitySignature:
+def parity_signature(u: int, p: int, n: int) -> ParitySignature:
     _check_range(p, n)
-    if u.n != n:
-        raise InputError("vector length does not match n")
+    _check_vector(u, n)
     r = p % 4
     if r == 2:
         return ParitySignature(2, ())
-    total = u.bits.bit_count() & 1
+    total = u.bit_count() & 1
     if r == 0:
         return ParitySignature(0, (total,))
     masks = incident_masks(n)
-    per = tuple((u.bits & masks[i]).bit_count() & 1 for i in range(n - 1))
+    per = tuple((u & masks[i]).bit_count() & 1 for i in range(n - 1))
     if r == 3:
         return ParitySignature(3, per)
     return ParitySignature(1, per + (total,))
 
 
-def signatures_equal(u1: PairVector, u2: PairVector, p: int, n: int) -> bool:
+def signatures_equal(u1: int, u2: int, p: int, n: int) -> bool:
     return parity_signature(u1, p, n) == parity_signature(u2, p, n)
 
 
-def span_member(u: PairVector, p: int, n: int) -> bool:
+def span_member(u: int, p: int, n: int) -> bool:
     """Whether u lies in the span of all (=p)-set indicators."""
     return parity_signature(u, p, n).is_zero()
 
 
-def _reduce(vec: int, combo: int, pivots: dict[int, tuple[int, int]]):
-    """Cancel lowest set bits against pivots; returns (vec, combo, open position)."""
+def _reduce(vec: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Cancel the highest set bit of vec against the pivot row keyed by its
+    bit_length until no row matches; returns the remainder with combo XORed
+    alongside.  A nonzero remainder is independent of the rows, and its own
+    bit_length is a free key."""
     while vec:
-        pos = (vec & -vec).bit_length() - 1
-        if pos not in pivots:
-            return vec, combo, pos
-        pv, pc = pivots[pos]
-        vec ^= pv
-        combo ^= pc
-    return 0, combo, None
+        row = pivots.get(vec.bit_length())
+        if row is None:
+            break
+        vec ^= row[0]
+        combo ^= row[1]
+    return vec, combo
+
+
+def span_basis(vectors: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Echelon basis of the F2 span of the vectors, so its length is the
+    rank: rows keyed by their highest bit, each with the mask of the input
+    indices XORed into it."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, vec in enumerate(vectors):
+        vec, combo = _reduce(vec, 1 << i, pivots)
+        if vec:
+            pivots[vec.bit_length()] = (vec, combo)
+    return pivots
 
 
 # span_witness_bruteforce refuses more generators than this
 SPAN_WITNESS_LIMIT = 100_000
 
 
-def span_witness_bruteforce(u: PairVector, p: int, n: int) -> Optional[InversionFamily]:
+def span_witness_bruteforce(u: int, p: int, n: int) -> Optional[InversionFamily]:
     """A family of (=p)-sets whose indicators XOR to u, by Gaussian elimination
     over all C(n,p) generators, or None when u is outside their span."""
     if p < 0 or p > n:
         raise InputError("need 0 <= p <= n")
+    _check_vector(u, n)
     if math.comb(n, p) > SPAN_WITNESS_LIMIT:
         raise CapacityError(f"C({n},{p}) generators exceed limit {SPAN_WITNESS_LIMIT}")
     generators = list(itertools.combinations(range(n), p))
-    pivots: dict[int, tuple[int, int]] = {}
-    for gi, X in enumerate(generators):
-        vec, combo, pos = _reduce(encode_set(X, n).bits, 1 << gi, pivots)
-        if vec:
-            pivots[pos] = (vec, combo)
-    vec, combo, _ = _reduce(u.bits, 0, pivots)
+    vec, combo = _reduce(u, 0, span_basis(encode_set(X, n) for X in generators))
     if vec:
         return None
     chosen = tuple(
@@ -202,8 +166,8 @@ def span_witness_bruteforce(u: PairVector, p: int, n: int) -> Optional[Inversion
     witness = InversionFamily(chosen, p, EXACT)
     check = 0
     for X in chosen:
-        check ^= encode_set(X, n).bits
-    assert check == u.bits
+        check ^= encode_set(X, n)
+    assert check == u
     return witness
 
 
@@ -241,16 +205,9 @@ def minimize_family(D1: OrientedGraph, family: InversionFamily) -> InversionFami
         for v in X:
             low, shift = table[v]
             vec |= (xm & low) << shift
-        combo = 1 << i
-        while vec:
-            top = vec.bit_length()
-            row = pivots.get(top)
-            if row is None:
-                break
-            vec ^= row[0]
-            combo ^= row[1]
+        vec, combo = _reduce(vec, 1 << i, pivots)
         if vec:
-            pivots[top] = (vec, combo)
+            pivots[vec.bit_length()] = (vec, combo)
             continue
         dropped |= combo
         combo ^= 1 << i

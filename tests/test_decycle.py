@@ -424,8 +424,8 @@ class TestBicliquePeel:
 
         bits = 0
         for X in fam.sets:
-            bits ^= encode_set(X, 10).bits
-        assert bits == encode_set(set(), 10).bits ^ _edge_bits(edges, 10)
+            bits ^= encode_set(X, 10)
+        assert bits == encode_set(set(), 10) ^ _edge_bits(edges, 10)
 
     def test_no_biclique(self):
         edges = [(0, 1), (2, 3), (4, 5)]
@@ -435,9 +435,13 @@ class TestBicliquePeel:
 
 
 def _edge_bits(edges, n):
-    from invlab.pairspace import PairVector
+    from invlab.pairspace import pair_index
 
-    return PairVector.from_pairs(n, edges).bits
+    bits = 0
+    for i, j in edges:
+        assert 0 <= i < n and 0 <= j < n
+        bits |= 1 << pair_index(i, j)
+    return bits
 
 
 class TestDecycleOptDense:

@@ -1,6 +1,8 @@
 """Exact-oracle BFS: distances, reachability classes, single-inversion scans."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,21 @@ class TestSingleInversionDecycles:
         with pytest.raises(CapacityError, match="exceed scan limit 100"):
             single_inversion_decycles(random_tournament(40, 0), 10, AT_MOST)
 
+    def test_early_hit_stops_enumeration(self, monkeypatch):
+        # C(64, <=4) = 679,121 candidates; the empty set in the first batch
+        # decycles the acyclic input, so no later batch is built
+        drawn = []
+        real = oracle_mod._subset_masks
+
+        def counted(*args):
+            for mask in real(*args):
+                drawn.append(mask)
+                yield mask
+
+        monkeypatch.setattr(oracle_mod, "_subset_masks", counted)
+        assert single_inversion_decycles(transitive_tournament(64), 4, AT_MOST) == frozenset()
+        assert len(drawn) == ACYCLIC_CHUNK
+
 
 def _transitive_scan_factory(D):
     """O(|X|^2) membership test 'Inv(D, X) is transitive' for tournaments,
@@ -474,6 +491,19 @@ class TestCensusBySpanRank:
     def test_over_cap_refused(self):
         with pytest.raises(CapacityError):
             orbit_census(8, 3, cap_bits=20)
+
+    def test_census_demo_checks_predictions(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "census_demo.py"
+        spec = importlib.util.spec_from_file_location("census_demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        assert demo.main() == 0
+        # one class too many on a single grid fails the script
+        monkeypatch.setattr(
+            demo, "orbit_census", lambda n, p: orbit_census(n, p) + ([1] if p == 4 else [])
+        )
+        assert demo.main() == 1
+        assert "n=6 p=4: census differs" in capsys.readouterr().err
 
     def test_reachable_agrees_with_labels_6_4(self):
         import random

@@ -2,13 +2,16 @@
 sweep against their earlier forms.
 
 Each ``_reference_*`` below is the straightforward loop that the library's
-bit-matrix, bit-surgery, out-degree and pair-bit-table versions replaced,
-kept verbatim apart from calling the other references.  The library must
-return equal values: the same FasResult, graph, StepOutcome, KernelResult,
-minimized family and GreedyReduction, and the same errors.
+bit-matrix, bit-surgery, out-degree, pair-bit-table and highest-bit-pivot
+versions replaced, kept verbatim apart from calling the other references and
+taking pair vectors as plain ints.  The library must return equal values: the
+same FasResult, graph, StepOutcome, KernelResult, minimized family, span
+witness and GreedyReduction, and the same errors.
 """
 
 import heapq
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +28,7 @@ from invlab.decycle import (
     greedy_reduce,
     reverse_arc_set,
 )
-from invlab.errors import InputError, ModeError, UnsupportedRangeError
+from invlab.errors import CapacityError, InputError, ModeError, UnsupportedRangeError
 from invlab.graphs import (
     AT_MOST,
     EXACT,
@@ -53,7 +56,14 @@ from invlab.kernel import (
     delvertex_step,
     kernelize,
 )
-from invlab.pairspace import PairVector, encode_set, minimize_family
+from invlab.pairspace import (
+    SPAN_WITNESS_LIMIT,
+    encode_set,
+    minimize_family,
+    pair_count,
+    pair_index,
+    span_witness_bruteforce,
+)
 
 
 def _bits(mask):
@@ -264,12 +274,14 @@ def _reference_reduce(vec, combo, pivots):
 def _reference_minimize_family(D1, family):
     _reference_validate(family, D1.n)
     edges = D1.underlying_pairs()
-    edge_mask = PairVector.from_pairs(D1.n, edges).bits
+    edge_mask = 0
+    for a, b in edges:
+        edge_mask |= 1 << pair_index(a, b)
     sets = family.sets
     pivots = {}
     dropped = 0
     for i, X in enumerate(sets):
-        restricted = encode_set(X, D1.n).bits & edge_mask
+        restricted = encode_set(X, D1.n) & edge_mask
         vec, combo, pos = _reference_reduce(restricted, 1 << i, pivots)
         if vec:
             pivots[pos] = (vec, combo)
@@ -291,6 +303,31 @@ def _reference_minimize_family(D1, family):
     kept = tuple(X for i, X in enumerate(sets) if not dropped >> i & 1)
     assert len(kept) <= len(edges)
     return InversionFamily(kept, family.p, family.mode)
+
+
+def _reference_span_witness(u, p, n):
+    if p < 0 or p > n:
+        raise InputError("need 0 <= p <= n")
+    if math.comb(n, p) > SPAN_WITNESS_LIMIT:
+        raise CapacityError(f"C({n},{p}) generators exceed limit {SPAN_WITNESS_LIMIT}")
+    generators = list(itertools.combinations(range(n), p))
+    pivots = {}
+    for gi, X in enumerate(generators):
+        vec, combo, pos = _reference_reduce(encode_set(X, n), 1 << gi, pivots)
+        if vec:
+            pivots[pos] = (vec, combo)
+    vec, combo, _ = _reference_reduce(u, 0, pivots)
+    if vec:
+        return None
+    chosen = tuple(
+        frozenset(generators[i]) for i in range(len(generators)) if combo >> i & 1
+    )
+    witness = InversionFamily(chosen, p, EXACT)
+    check = 0
+    for X in chosen:
+        check ^= encode_set(X, n)
+    assert check == u
+    return witness
 
 
 def _reference_greedy_reduce(D, p, ordering=None):
@@ -374,6 +411,21 @@ def graphs_with_families(draw):
         for _ in range(rng.randint(0, 120))
     ]
     return D, InversionFamily(tuple(sets), p, mode)
+
+
+@st.composite
+def span_targets(draw):
+    """(u, p, n) with n <= 8: u the XOR of a few p-sets, so inside the span,
+    or arbitrary pair bits, often outside it."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    p = draw(st.integers(min_value=0, max_value=n))
+    if draw(st.booleans()):
+        u = 0
+        for perm in draw(st.lists(st.permutations(range(n)), max_size=6)):
+            u ^= encode_set(perm[:p], n)
+    else:
+        u = draw(st.integers(min_value=0, max_value=(1 << pair_count(n)) - 1))
+    return u, p, n
 
 
 class TestGraphPrimitives:
@@ -500,6 +552,14 @@ class TestMinimizeAndSweep:
         ordering = list(range(D.n))
         rng.shuffle(ordering)
         assert greedy_reduce(D, p, ordering) == _reference_greedy_reduce(D, p, ordering)
+
+
+class TestSpanWitness:
+    @given(span_targets())
+    @settings(max_examples=300, deadline=None)
+    def test_same_family(self, case):
+        u, p, n = case
+        assert span_witness_bruteforce(u, p, n) == _reference_span_witness(u, p, n)
 
 
 class TestValidateErrors:

@@ -7,7 +7,9 @@ is left blank so two runs produce byte-identical tables.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -163,7 +165,9 @@ def bench_suite(rows: list[dict], deterministic: bool = False) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in rows:
-        lines.append(",".join(str(row.get(col, "")) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow([str(row.get(col, "")) for col in CSV_COLUMNS])
+    return buf.getvalue()

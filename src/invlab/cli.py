@@ -7,6 +7,7 @@ Exit codes: 0 success or "true", 1 "false", 2 unsupported parameter range,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -34,10 +35,12 @@ from .serialize import (
     family_from_json,
     family_to_json,
     graph_from_json,
+    graph_to_dict,
     graph_to_dot,
     graph_to_json,
     hypergraph_from_dict,
     hypergraph_to_dict,
+    loads,
     mcc_instance_from_dict,
 )
 
@@ -61,10 +64,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> Any:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    return loads(_read_text(path))
 
 
 def _read_graph(path: str) -> OrientedGraph:
@@ -201,7 +201,7 @@ def _run(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "kernel": json.loads(graph_to_json(result.tournament)),
+                    "kernel": graph_to_dict(result.tournament),
                     "solved": result.solved,
                     "answer": result.answer,
                     "log": log,
@@ -218,18 +218,7 @@ def _run(args: argparse.Namespace) -> int:
         D = _read_graph(args.graph)
         family = family_from_json(_read_text(args.family))
         report = verify_family(D, family, args.p, args.mode)
-        print(
-            json.dumps(
-                {
-                    "sizes_ok": report.sizes_ok,
-                    "acyclic": report.acyclic,
-                    "cycle": None if report.cycle is None else list(report.cycle),
-                    "net_flip": [list(a) for a in report.net_flip],
-                    "count": report.count,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(report), sort_keys=True))
         return 0 if (report.sizes_ok and report.acyclic) else 1
 
     if args.verb == "bench":
@@ -353,7 +342,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
 

@@ -28,6 +28,8 @@ FAS_EXACT_LIMIT = 20
 _FAS_CHUNK = 1 << 15
 # candidate columns per acyclic_columns call; bounds the batch arrays' memory
 ACYCLIC_CHUNK = 1 << 12
+# largest vertex count acyclic_columns accepts: a column is one uint64 mask
+ACYCLIC_MAX_VERTICES = 64
 # largest vertex count any reader or generator accepts; far above every
 # exhaustive cap, and refused before any per-vertex structure is allocated
 MAX_VERTICES = 10_000
@@ -76,10 +78,20 @@ class OrientedGraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "OrientedGraph":
+        """Each arc must be a pair (list or tuple) of Python ints in range."""
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         out = [0] * n
-        for u, v in arcs:
+        for item in arcs:
+            # `type(x) is int` also rejects bool and numpy integers
+            if not (
+                isinstance(item, (list, tuple))
+                and len(item) == 2
+                and type(item[0]) is int
+                and type(item[1]) is int
+            ):
+                raise InputError(f"bad arc entry {item!r}")
+            u, v = item
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u},{v}) out of range for n={n}")
             if u == v:
@@ -250,15 +262,16 @@ def is_acyclic(D: OrientedGraph) -> bool:
 
 
 def acyclic_columns(out: np.ndarray) -> np.ndarray:
-    """Acyclicity of a batch of oriented graphs on the same k <= 64 vertices.
+    """Acyclicity of a batch of oriented graphs on the same k vertices.
 
     ``out`` is a (k, c) uint64 array: column j holds the out-masks of
     candidate j, one row per vertex.  Every round removes all current sinks
     (vertices with no arc to a remaining vertex); a candidate is acyclic iff
     no vertex is left when a round removes nothing.  Callers pass at most
-    ACYCLIC_CHUNK columns at a time.
+    ACYCLIC_CHUNK columns at a time, and k <= ACYCLIC_MAX_VERTICES rows.
     """
     k, c = out.shape
+    assert k <= ACYCLIC_MAX_VERTICES
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     alive = np.full(c, bits.sum(dtype=np.uint64), dtype=np.uint64)
     pending = np.arange(c)  # columns still losing vertices
@@ -275,9 +288,8 @@ def acyclic_columns(out: np.ndarray) -> np.ndarray:
 
 
 def is_tournament(D: OrientedGraph) -> bool:
-    und = D.underlying_masks()
-    full = (1 << D.n) - 1
-    return all(und[v] == full & ~(1 << v) for v in range(D.n))
+    # an OrientedGraph has no loops or digons, so C(n, 2) arcs join every pair
+    return D.arc_count == math.comb(D.n, 2)
 
 
 def backward_arcs(D: OrientedGraph, ordering: Sequence[int]) -> list[tuple[int, int]]:

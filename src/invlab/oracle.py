@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .graphs import (
     ACYCLIC_CHUNK,
+    ACYCLIC_MAX_VERTICES,
     AT_MOST,
     EXACT,
     OrientedGraph,
@@ -271,12 +272,14 @@ def single_inversion_decycles(
     single inversion makes D acyclic, or None when no such set exists.
 
     The candidate sets are enumerated and tested one batch at a time by
-    acyclic_columns, so an early hit ends the scan, and D may have at most 64
-    vertices."""
+    acyclic_columns, so an early hit ends the scan, and D may have at most
+    ACYCLIC_MAX_VERTICES vertices."""
     if mode not in (EXACT, AT_MOST):
         raise InputError(f"unknown mode {mode!r}")
-    if D.n > 64:
-        raise CapacityError(f"single-inversion scan limited to 64 vertices (got {D.n})")
+    if D.n > ACYCLIC_MAX_VERTICES:
+        raise CapacityError(
+            f"single-inversion scan limited to {ACYCLIC_MAX_VERTICES} vertices (got {D.n})"
+        )
     sets = _subset_masks(D.n, [p] if mode == EXACT else range(p + 1), "scan")
     out = np.array(D.out, dtype=np.uint64)[:, None]
     und = np.array(D.underlying_masks(), dtype=np.uint64)[:, None]

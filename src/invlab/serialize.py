@@ -38,6 +38,16 @@ def _int_lists(items: Any, what: str, size: Optional[int] = None) -> list[list[i
     return items
 
 
+def loads(text: str) -> Any:
+    """The JSON value of text; the one decoder for every outside input."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
+
+
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -50,18 +60,9 @@ def graph_from_dict(data: Any) -> OrientedGraph:
     if not isinstance(data, dict) or "n" not in data or "arcs" not in data:
         raise InputError("graph JSON needs keys 'n' and 'arcs'")
     n = vertex_count(data["n"], "graph JSON 'n'")
-    arcs = data["arcs"]
-    if not isinstance(arcs, list):
+    if not isinstance(data["arcs"], list):
         raise InputError("graph JSON types: n int, arcs list")
-    pairs = []
-    for item in arcs:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise InputError(f"bad arc entry {item!r}")
-        u, v = item
-        if type(u) is not int or type(v) is not int:
-            raise InputError(f"bad arc entry {item!r}")
-        pairs.append((u, v))
-    return OrientedGraph.from_arcs(n, pairs)
+    return OrientedGraph.from_arcs(n, data["arcs"])
 
 
 def graph_to_json(D: OrientedGraph) -> str:
@@ -69,10 +70,7 @@ def graph_to_json(D: OrientedGraph) -> str:
 
 
 def graph_from_json(text: str) -> OrientedGraph:
-    try:
-        return graph_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+    return graph_from_dict(loads(text))
 
 
 def family_to_dict(family: InversionFamily) -> dict:
@@ -86,12 +84,7 @@ def family_to_dict(family: InversionFamily) -> dict:
 def family_from_dict(data: Any) -> InversionFamily:
     if not isinstance(data, dict) or not {"mode", "p", "sets"} <= set(data):
         raise InputError("family JSON needs keys 'mode', 'p' and 'sets'")
-    sets = data["sets"]
-    if not isinstance(sets, list) or not all(isinstance(X, list) for X in sets):
-        raise InputError("family JSON 'sets' must be a list of lists")
-    for X in sets:
-        if not all(type(v) is int for v in X):
-            raise InputError(f"bad family set {X!r}: members must be integers")
+    sets = _int_lists(data["sets"], "family sets")
     if type(data["p"]) is not int:
         raise InputError(f"family p {data['p']!r} must be an integer")
     fam = InversionFamily(tuple(frozenset(X) for X in sets), data["p"], data["mode"])
@@ -105,10 +98,7 @@ def family_to_json(family: InversionFamily) -> str:
 
 
 def family_from_json(text: str) -> InversionFamily:
-    try:
-        return family_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+    return family_from_dict(loads(text))
 
 
 def graph_to_dot(D: OrientedGraph, names: Optional[Sequence[str]] = None) -> str:

@@ -38,3 +38,29 @@ def tournaments(draw, min_n=1, max_n=7):
 @st.composite
 def vertex_subsets(draw, n):
     return frozenset(v for v in range(n) if draw(st.booleans()))
+
+
+# object keys the readers look up, so drawn values often reach the checks
+# behind the top-level shape test
+_JSON_KEYS = ["n", "arcs", "edges", "parts", "mode", "p", "sets", "name",
+              "generator", "kind", "strategy", "oracle"]
+
+
+def json_values():
+    """Arbitrary JSON values with small integers (and a few past every cap),
+    so an accepted value stays cheap to run."""
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-2, max_value=8)
+        | st.sampled_from([10**6, 2**64])
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=3), inner,
+                          max_size=4),
+        max_leaves=16,
+    )

@@ -1,9 +1,16 @@
 """CLI surface, serialization round-trips, bench harness."""
 
+import contextlib
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import json_values
 
 from invlab import bench as bench_mod
 from invlab.cli import cli_dispatch
@@ -445,6 +452,18 @@ class TestCliMalformedInput:
         assert code == 4 and out == ""
         assert "input error" in err and "Traceback" not in err
 
+    def test_unwritable_output_paths(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "generate", "shec", "--k33", "--p", "3", "--names", str(tmp_path)
+        )
+        assert code == 4 and "input error" in err and "Traceback" not in err
+        spec = tmp_path / "spec.json"
+        spec.write_text("[]")
+        code, _, err = run_cli(
+            capsys, "bench", "--spec", str(spec), "--manifest", str(tmp_path)
+        )
+        assert code == 4 and "input error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", list(GENERATORS))
     def test_generator_vertex_cap(self, tmp_path, capsys, kind):
         # one vertex past the cap (2k+1 = MAX_VERTICES + 1 for diregular),
@@ -461,7 +480,107 @@ class TestCliMalformedInput:
         assert code == 3 and out == "" and "10001 vertices" in err
 
 
+# every verb that reads an outside file, with {} where the fuzzed path goes
+READERS = {
+    "decide-invertible": ("decide-invertible", "--p", "3", "{}"),
+    "decide-equivalent": ("decide-equivalent", "--p", "2", "{}", "{}"),
+    "decycle": ("decycle", "--p", "4", "{}"),
+    "exact": ("exact", "--p", "3", "{}"),
+    "kernelize": ("kernelize", "--p", "3", "--k", "1", "{}"),
+    "verify-graph": ("verify", "--p", "4", "--graph", "{}", "--family", "{family}"),
+    "verify-family": ("verify", "--p", "4", "--graph", "{graph}", "--family", "{}"),
+    "generate-mcc": ("generate", "mcc", "--input", "{}"),
+    "generate-shec": ("generate", "shec", "--p", "3", "--input", "{}"),
+    "generate-lift": ("generate", "lift", "--input", "{}"),
+    "bench": ("bench", "--spec", "{}"),
+}
+
+
+def _nested(depth):
+    return st.sampled_from(["[", '{"n":']).map(
+        lambda opener: (opener * depth + "0" + ("]" if opener == "[" else "}") * depth)
+    )
+
+
+def _non_utf8():
+    # 0xff never occurs in UTF-8
+    return st.tuples(st.binary(max_size=20), st.binary(max_size=20)).map(
+        lambda halves: halves[0] + b"\xff" + halves[1]
+    )
+
+
+# (kind, file bytes); a None payload passes a directory as the path
+FUZZ_CASES = st.one_of(
+    st.tuples(st.just("bytes"), st.binary(max_size=40)),
+    st.tuples(st.just("json"), json_values().map(lambda v: json.dumps(v).encode())),
+    st.tuples(st.just("deep"), st.sampled_from([2_000, 100_000]).flatmap(_nested)
+              .map(str.encode)),
+    st.tuples(st.just("directory"), st.none()),
+    st.tuples(st.just("non-utf-8"), _non_utf8()),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "graph.json").write_text(graph_to_json(random_tournament(6, 1)))
+    (root / "family.json").write_text(
+        family_to_json(InversionFamily((frozenset({0, 1, 2, 3}),), 4, EXACT))
+    )
+    (root / "directory").mkdir()
+    return root
+
+
+def _decodes(payload):
+    try:
+        json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+class TestReaderFuzz:
+    """Every reader under outside bytes: anything that is not a JSON text
+    exits in {2, 3, 4, 64} with a message; a JSON value may also be accepted
+    (exit 0 or 1, stderr empty); no exception escapes cli_dispatch."""
+
+    @pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
+    @given(case=FUZZ_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_exit_contract(self, fuzz_dir, argv, case):
+        kind, payload = case
+        path = fuzz_dir / "directory"
+        if payload is not None:
+            path = fuzz_dir / "input.json"
+            path.write_bytes(payload)
+        args = [
+            a.format(path, graph=fuzz_dir / "graph.json", family=fuzz_dir / "family.json")
+            for a in argv
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_dispatch(args)
+        assert "Traceback" not in err.getvalue()
+        if payload is None or not _decodes(payload):
+            assert code in (2, 3, 4, 64), (kind, code)
+            assert err.getvalue()
+        else:
+            assert code in (0, 1, 2, 3, 4, 64), (kind, code)
+            assert (code >= 2) == bool(err.getvalue())
+
+
 class TestBench:
+    def test_comma_in_name_is_quoted(self):
+        rows = bench_mod.bench_suite(
+            [{"name": "a,b", "generator": {"kind": "tt", "n": 6}, "p": 4,
+              "strategy": "fas"}],
+            deterministic=True,
+        )
+        table = list(csv.reader(io.StringIO(bench_mod.rows_to_csv(rows))))
+        assert [len(cells) for cells in table] == [len(bench_mod.CSV_COLUMNS)] * 2
+        assert table[1][0] == "a,b"
+        assert table[1][1:] == ["6", "4", "eq", "fas", "0", "6", "True", "True", "", ""]
+
     def test_empty_spec(self):
         assert bench_mod.bench_suite([]) == []
         assert bench_mod.rows_to_csv([]).startswith("instance,")

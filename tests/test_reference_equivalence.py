@@ -1,12 +1,12 @@
-"""The graph primitives, the kernel step, family minimization and the greedy
-sweep against their earlier forms.
+"""The graph primitives, the graph reader, the kernel step, family
+minimization and the greedy sweep against their earlier forms.
 
 Each ``_reference_*`` below is the straightforward loop that the library's
-bit-matrix, bit-surgery, out-degree, pair-bit-table and highest-bit-pivot
-versions replaced, kept verbatim apart from calling the other references and
-taking pair vectors as plain ints.  The library must return equal values: the
-same FasResult, graph, StepOutcome, KernelResult, minimized family, span
-witness and GreedyReduction, and the same errors.
+bit-matrix, bit-surgery, arc-count, one-pass, out-degree, pair-bit-table and
+highest-bit-pivot versions replaced, kept verbatim apart from calling the
+other references and taking pair vectors as plain ints.  The library must
+return equal values: the same FasResult, graph, StepOutcome, KernelResult,
+minimized family, span witness and GreedyReduction, and the same errors.
 """
 
 import heapq
@@ -20,7 +20,7 @@ from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oriented_graphs, tournaments
+from conftest import json_values, oriented_graphs, tournaments
 from invlab.decycle import (
     CYCLE_FIRST,
     PAIRWISE,
@@ -46,6 +46,8 @@ from invlab.graphs import (
     induced_subgraph,
     invert,
     is_acyclic,
+    is_tournament,
+    vertex_count,
 )
 from invlab.kernel import (
     KernelConfig,
@@ -64,6 +66,7 @@ from invlab.pairspace import (
     pair_index,
     span_witness_bruteforce,
 )
+from invlab.serialize import graph_from_dict, graph_to_dict
 
 
 def _bits(mask):
@@ -93,6 +96,24 @@ def _reference_is_tournament(D):
     und = _reference_underlying_masks(D)
     full = (1 << D.n) - 1
     return all(und[v] == full & ~(1 << v) for v in range(D.n))
+
+
+def _reference_graph_from_dict(data):
+    if not isinstance(data, dict) or "n" not in data or "arcs" not in data:
+        raise InputError("graph JSON needs keys 'n' and 'arcs'")
+    n = vertex_count(data["n"], "graph JSON 'n'")
+    arcs = data["arcs"]
+    if not isinstance(arcs, list):
+        raise InputError("graph JSON types: n int, arcs list")
+    pairs = []
+    for item in arcs:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise InputError(f"bad arc entry {item!r}")
+        u, v = item
+        if type(u) is not int or type(v) is not int:
+            raise InputError(f"bad arc entry {item!r}")
+        pairs.append((u, v))
+    return OrientedGraph.from_arcs(n, pairs)
 
 
 def _reference_topological_order(D):
@@ -441,6 +462,10 @@ class TestGraphPrimitives:
             assert len(set(cycle)) == len(cycle)
             assert all(D.has_arc(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
+    @given(st.one_of(oriented_graphs(min_n=0, max_n=12), tournaments(min_n=0, max_n=12)))
+    def test_is_tournament(self, D):
+        assert is_tournament(D) == _reference_is_tournament(D)
+
     @given(oriented_graphs(min_n=0, max_n=30), st.randoms(use_true_random=False))
     @settings(deadline=None)
     def test_backward_arcs(self, D, rng):
@@ -560,6 +585,40 @@ class TestSpanWitness:
     def test_same_family(self, case):
         u, p, n = case
         assert span_witness_bruteforce(u, p, n) == _reference_span_witness(u, p, n)
+
+
+@st.composite
+def _graph_json_values(draw):
+    """Graph JSON values: well-formed ones, ones with one entry spliced into
+    the arc list (an arc out of range, a loop, a digon or a malformed
+    entry), ones with arbitrary fields, and arbitrary values."""
+    kind = draw(st.integers(min_value=0, max_value=3))
+    if kind == 3:
+        return draw(json_values())
+    if kind == 2:
+        return {"n": draw(json_values()), "arcs": draw(json_values())}
+    data = graph_to_dict(draw(oriented_graphs(min_n=0, max_n=8)))
+    if kind == 1:
+        endpoint = st.integers(min_value=-1, max_value=8)
+        entry = draw(st.lists(endpoint, min_size=2, max_size=2) | json_values())
+        arcs = data["arcs"]
+        arcs.insert(draw(st.integers(min_value=0, max_value=len(arcs))), entry)
+    return data
+
+
+class TestGraphReader:
+    """The one-pass graph_from_dict against the shape pre-pass it replaced:
+    the same graph, or an error of the same class from both."""
+
+    @given(_graph_json_values())
+    def test_same_graph_or_error(self, data):
+        def outcome(read):
+            try:
+                return read(data)
+            except (InputError, CapacityError) as exc:
+                return type(exc)
+
+        assert outcome(graph_from_dict) == outcome(_reference_graph_from_dict)
 
 
 class TestValidateErrors:

@@ -57,10 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise InputError(f"{name} is not UTF-8 text: {exc}") from None
 
 
 def _read_json(path: str) -> Any:
@@ -226,7 +230,7 @@ def _run(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         rows = bench_mod.bench_suite(spec, deterministic=args.deterministic)
         output = bench_mod.rows_to_csv(rows)
-        sys.stdout.write(output)
+        # the side file first, so a failed write prints nothing
         if args.manifest:
             manifest = bench_mod.make_manifest(
                 "bench",
@@ -238,18 +242,13 @@ def _run(args: argparse.Namespace) -> int:
             )
             with open(args.manifest, "w", encoding="utf-8") as fh:
                 fh.write(bench_mod.manifest_to_json(manifest))
+        sys.stdout.write(output)
         return 0
 
     if args.verb == "census":
-        sizes = orbit_census(args.n, args.p, cap_bits=args.cap)
-        histogram: dict[str, int] = {}
-        for s in sizes:
-            histogram[str(s)] = histogram.get(str(s), 0) + 1
-        print(
-            json.dumps(
-                {"classes": len(sizes), "size_histogram": histogram}, sort_keys=True
-            )
-        )
+        classes, size = orbit_census(args.n, args.p, cap_bits=args.cap)
+        census = {"classes": classes, "size_histogram": {str(size): classes}}
+        print(json.dumps(census, sort_keys=True))
         return 0
 
     raise _UsageError(f"unknown verb {args.verb!r}")
@@ -297,11 +296,12 @@ def _run_generate(args: argparse.Namespace) -> int:
         payload = json.dumps(hypergraph_to_dict(lift.hypergraph), sort_keys=True) + "\n"
     if payload is None:
         payload = graph_to_dot(D, names) if args.dot else graph_to_json(D)
-    sys.stdout.write(payload)
+    # the side file first, so a failed write prints nothing
     if args.names:
         with open(args.names, "w", encoding="utf-8") as fh:
             json.dump({str(i): name for i, name in enumerate(names)}, fh, sort_keys=True)
             fh.write("\n")
+    sys.stdout.write(payload)
     return 0
 
 
@@ -342,7 +342,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
 

@@ -48,6 +48,8 @@ Trace = Optional[list[GadgetPlan]]
 
 
 def _helper_set(n: int, size: int, forbidden: Iterable[int]) -> tuple[int, ...]:
+    if size < 0:
+        raise InputError(f"helper set size must be nonnegative (got {size})")
     bad = set(forbidden)
     helper = [v for v in range(n) if v not in bad][:size]
     if len(helper) < size:
@@ -141,6 +143,8 @@ def gadget_even_cycle(
         raise InputError(f"even cycle needs 2l >= 4 vertices (got {len(cyc)})")
     two_l = len(cyc)
     if variant == NARROW:
+        if p < 2:
+            raise InputError("p must be at least 2")
         if D.n < p + two_l - 2:
             raise ModeError(
                 f"narrow even-cycle gadget needs n >= p + 2l - 2 "

@@ -6,8 +6,9 @@ and state 0 is D itself.  Moves are the nonzero pair-indicator masks of the
 candidate inversion sets restricted to those edges, deduplicated (distinct
 sets inducing the same restriction collapse to one move).  Distances are
 BFS-exact; unreachability is reported as None, never as a sentinel number.
-The reachable states are the F2 span of the moves, so reachability and the
-class census are answered by pairspace's Gaussian elimination; orbit_labels
+Between tournaments the reachable states are the F2 span of the p-set
+indicators, so reachability and the class census are answered by pairspace's
+Gaussian elimination over pairspace.p_sets, with no state table; orbit_labels
 keeps a BFS as the independent reference.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -32,25 +32,15 @@ from .graphs import (
     acyclic_columns,
     is_tournament,
 )
-from .pairspace import _reduce, encode_set, span_basis
+from .pairspace import _reduce, encode_tournament, p_sets, span_basis
 
 DEFAULT_CAP_BITS = 22
 HARD_CAP_BITS = 26  # uint32 state arrays; the visited table alone is 2^m bytes
 MOVE_ENUM_LIMIT = 2_000_000
 
 
-def default_cap_bits() -> int:
-    env = os.environ.get("INVLAB_CAP_BITS")
-    if not env:
-        return DEFAULT_CAP_BITS
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"INVLAB_CAP_BITS={env!r} is not an integer") from None
-
-
 def _check_state_bits(m: int, cap_bits: Optional[int]) -> None:
-    cap = default_cap_bits() if cap_bits is None else cap_bits
+    cap = DEFAULT_CAP_BITS if cap_bits is None else cap_bits
     if m > min(cap, HARD_CAP_BITS):
         raise CapacityError(
             f"{m} edge bits exceed the state cap "
@@ -203,26 +193,20 @@ def exact_inv(
     return _bfs_until(space, 0, _acyclic_states(space))
 
 
-def reachable(
-    T1: OrientedGraph, T2: OrientedGraph, p: int, cap_bits: Optional[int] = None
-) -> bool:
+def reachable(T1: OrientedGraph, T2: OrientedGraph, p: int) -> bool:
     """Whether some (=p)-family maps tournament T1 onto T2.
 
-    The states reachable from 0 are exactly the F2 span of the moves, so this
-    tests membership of the target by Gaussian elimination: generic linear
-    algebra over the enumerated moves, independent of the paper's parity
-    signature."""
+    The families reach exactly the F2 span of the p-set indicators, so this
+    tests membership of enc(T1) ^ enc(T2) by Gaussian elimination: generic
+    linear algebra over the enumerated generators, independent of the
+    paper's parity signature and of the state cap (C(n, p) is capped by
+    p_sets instead)."""
     if T1.n != T2.n:
         raise InputError("tournaments must share a vertex set")
     if not is_tournament(T1) or not is_tournament(T2):
         raise InputError("both inputs must be tournaments")
-    space = state_space(T1, p, EXACT, cap_bits)
-    # complete underlying graph: lexicographic edge order below mirrors arcs
-    target = 0
-    for i, (u, v) in enumerate(space.edges):
-        if T1.has_arc(u, v) != T2.has_arc(u, v):
-            target |= 1 << i
-    return not _reduce(target, 0, span_basis(space.moves))[0]
+    target = encode_tournament(T1) ^ encode_tournament(T2)
+    return not _reduce(target, 0, span_basis(p_sets(T1.n, p).values()))[0]
 
 
 def _tournament_state_bits(n: int, p: int, cap_bits: Optional[int]) -> int:
@@ -239,7 +223,7 @@ def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
     """Reachability-class label of every one of the 2^C(n,2) labelled
     tournaments, states laid out in the colexicographic pair order."""
     m = _tournament_state_bits(n, p, cap_bits)
-    moves_set = {encode_set(X, n) for X in itertools.combinations(range(n), p)}
+    moves_set = set(p_sets(n, p).values())
     moves_set.discard(0)
     moves = np.array(sorted(moves_set), dtype=np.uint32)
     labels = np.full(1 << m, -1, dtype=np.int32)
@@ -252,17 +236,18 @@ def orbit_labels(n: int, p: int, cap_bits: Optional[int] = None) -> np.ndarray:
     return labels
 
 
-def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> list[int]:
-    """Sizes of the reachability classes, largest first.
+def orbit_census(n: int, p: int, cap_bits: Optional[int] = None) -> tuple[int, int]:
+    """(classes, size): the number of reachability classes and their common
+    size.
 
     The classes are the cosets of the span of the p-set indicators, so there
     are 2^(m-r) of them, each of size 2^r, where r is the rank of that span
     over F2.  This is generic linear algebra over the enumerated generators,
-    not the paper's parity theorem; orbit_labels is the BFS reference."""
+    not the paper's parity theorem; orbit_labels is the BFS reference.  The
+    state cap still applies, since both numbers run up to 2^m."""
     m = _tournament_state_bits(n, p, cap_bits)
-    generators = (encode_set(X, n) for X in itertools.combinations(range(n), p))
-    r = len(span_basis(generators))
-    return [1 << r] * (1 << (m - r))
+    r = len(span_basis(p_sets(n, p).values()))
+    return 1 << (m - r), 1 << r
 
 
 def single_inversion_decycles(
@@ -296,7 +281,6 @@ def single_inversion_decycles(
 
 __all__ = [
     "StateSpace",
-    "default_cap_bits",
     "exact_inv",
     "orbit_census",
     "orbit_labels",

@@ -144,8 +144,19 @@ def span_basis(vectors: Iterable[int]) -> dict[int, tuple[int, int]]:
     return pivots
 
 
-# span_witness_bruteforce refuses more generators than this
+# p_sets refuses more sets than this
 SPAN_WITNESS_LIMIT = 100_000
+
+
+def p_sets(n: int, p: int) -> dict[tuple[int, ...], int]:
+    """The p-subsets of range(n) in lexicographic order, each mapped to its
+    pair indicator: the generators of every span question over the
+    (=p)-inversions.  Refuses more than SPAN_WITNESS_LIMIT sets."""
+    if n < 0 or p < 0:
+        raise InputError(f"n and p must be nonnegative (got n={n}, p={p})")
+    if math.comb(n, p) > SPAN_WITNESS_LIMIT:
+        raise CapacityError(f"C({n},{p}) generators exceed limit {SPAN_WITNESS_LIMIT}")
+    return {X: encode_set(X, n) for X in itertools.combinations(range(n), p)}
 
 
 def span_witness_bruteforce(u: int, p: int, n: int) -> Optional[InversionFamily]:
@@ -154,21 +165,16 @@ def span_witness_bruteforce(u: int, p: int, n: int) -> Optional[InversionFamily]
     if p < 0 or p > n:
         raise InputError("need 0 <= p <= n")
     _check_vector(u, n)
-    if math.comb(n, p) > SPAN_WITNESS_LIMIT:
-        raise CapacityError(f"C({n},{p}) generators exceed limit {SPAN_WITNESS_LIMIT}")
-    generators = list(itertools.combinations(range(n), p))
-    vec, combo = _reduce(u, 0, span_basis(encode_set(X, n) for X in generators))
+    generators = p_sets(n, p)
+    vec, combo = _reduce(u, 0, span_basis(generators.values()))
     if vec:
         return None
-    chosen = tuple(
-        frozenset(generators[i]) for i in range(len(generators)) if combo >> i & 1
-    )
-    witness = InversionFamily(chosen, p, EXACT)
+    chosen = [X for i, X in enumerate(generators) if combo >> i & 1]
     check = 0
     for X in chosen:
-        check ^= encode_set(X, n)
+        check ^= generators[X]
     assert check == u
-    return witness
+    return InversionFamily(tuple(map(frozenset, chosen)), p, EXACT)
 
 
 def minimize_family(D1: OrientedGraph, family: InversionFamily) -> InversionFamily:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from invlab.decycle import (
 )
 from invlab.errors import CapacityError, InputError
 from invlab.graphs import EXACT, MAX_VERTICES, InversionFamily, OrientedGraph, apply_family
+from invlab.pairspace import minimize_family
 from invlab.generate import (
     GENERATORS,
     random_oriented_graph,
@@ -218,6 +220,32 @@ class TestCliVerbs:
         )
         assert code == 0 and "digraph" in out
 
+    @pytest.mark.parametrize("strategy", ["fas", "2fas"])
+    def test_dot_trace_shows_the_plans_and_the_result(self, strategy, tmp_path, capsys):
+        D = random_tournament(10, 6)
+        g = tmp_path / "g.json"
+        g.write_text(graph_to_json(D))
+        decycle = ("decycle", "--p", "4", "--strategy", strategy)
+        code, printed, _ = run_cli(capsys, *decycle, str(g))
+        assert code == 0
+        family = family_from_json(printed)
+        code, out, _ = run_cli(capsys, *decycle, "--emit", "dot-trace", str(g))
+        assert code == 0
+        lines = out.splitlines()
+        gadgets = [line for line in lines if line.startswith("// gadget ")]
+        assert [line.split(":")[0] for line in gadgets] == [
+            f"// gadget {i}" for i in range(len(gadgets))
+        ]
+        sets = tuple(
+            frozenset(X) for line in gadgets for X in json.loads(line.split("sets=")[1])
+        )
+        # the pipeline minimizes the concatenated gadget sets
+        assert minimize_family(D, InversionFamily(sets, 4, EXACT)) == family
+        arcs = {
+            tuple(map(int, line.strip(" ;").split(" -> "))) for line in lines if "->" in line
+        }
+        assert arcs == set(apply_family(D, family).arcs())
+
     def test_exact_verb(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         from invlab.generate import directed_cycle
@@ -318,12 +346,18 @@ class TestCliMalformedInput:
         )
         assert code == 64 and "--eps" in err and "Traceback" not in err
 
-    def test_bad_cap_bits_env(self, tmp_path, capsys, monkeypatch):
+    def test_non_utf8_input_is_named(self, tmp_path, capsys, monkeypatch):
         g = tmp_path / "g.json"
-        g.write_text(graph_to_json(random_tournament(4, 1)))
-        monkeypatch.setenv("INVLAB_CAP_BITS", "x")
-        code, _, err = run_cli(capsys, "exact", "--p", "3", str(g))
-        assert code == 4 and "INVLAB_CAP_BITS" in err
+        g.write_text(graph_to_json(random_tournament(5, 1)))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe[]")
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "4", "--graph", str(g), "--family", str(bad)
+        )
+        assert code == 4 and out == "" and "bad.json" in err
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff")))
+        code, out, err = run_cli(capsys, "decide-invertible", "--p", "3", "-")
+        assert code == 4 and out == "" and "<stdin>" in err
 
     @pytest.mark.parametrize(
         "graph",
@@ -453,16 +487,19 @@ class TestCliMalformedInput:
         assert "input error" in err and "Traceback" not in err
 
     def test_unwritable_output_paths(self, tmp_path, capsys):
-        code, _, err = run_cli(
+        # the side file is written first, so exit 4 means nothing was printed
+        code, out, err = run_cli(
             capsys, "generate", "shec", "--k33", "--p", "3", "--names", str(tmp_path)
         )
-        assert code == 4 and "input error" in err and "Traceback" not in err
+        assert code == 4 and out == ""
+        assert "input error" in err and "Traceback" not in err
         spec = tmp_path / "spec.json"
         spec.write_text("[]")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "bench", "--spec", str(spec), "--manifest", str(tmp_path)
         )
-        assert code == 4 and "input error" in err and "Traceback" not in err
+        assert code == 4 and out == ""
+        assert "input error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
     def test_generator_vertex_cap(self, tmp_path, capsys, kind):

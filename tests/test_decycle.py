@@ -10,6 +10,7 @@ from invlab.decycle import (
     CYCLE_FIRST,
     STRATEGIES,
     _greedy_even_cycles,
+    _helper_set,
     NARROW,
     PAIRWISE,
     WIDE,
@@ -178,6 +179,16 @@ class TestGadgetEvenCycle:
         assert len(plan.sets) == 12
         cyc = [(i, (i + 1) % 6) for i in range(6)]
         assert flipped_arcs(T, plan.sets, 4) == expect_pattern(T, cyc)
+
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_narrow_refuses_p_below_2(self, p):
+        # p - 2 helper vertices would be a negative count
+        with pytest.raises(InputError, match="p must be at least 2"):
+            gadget_even_cycle(random_tournament(10, 1), [0, 1, 2, 3], p, NARROW)
+
+    def test_helper_set_refuses_a_negative_size(self):
+        with pytest.raises(InputError):
+            _helper_set(10, -1, [0, 1])
 
     def test_randomized_draws_both_variants(self):
         rng = random.Random(3)

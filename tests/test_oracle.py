@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oriented_graphs, tournaments
-from invlab.decide import oriented_graph_invertible
-from invlab.errors import CapacityError
+from invlab.decide import oriented_graph_invertible, tournaments_equivalent
+from invlab.errors import CapacityError, InputError
 from invlab.graphs import (
     ACYCLIC_CHUNK,
     AT_MOST,
@@ -24,6 +24,7 @@ from invlab.graphs import (
     is_tournament,
 )
 from invlab import oracle as oracle_mod
+from invlab import pairspace as pairspace_mod
 from invlab.generate import (
     directed_cycle,
     diregular_tournament,
@@ -165,7 +166,7 @@ class TestReachable:
         assert reachable(T, T, 3)
 
     def test_p2_connects_everything_at_n5(self):
-        assert orbit_census(5, 2) == [1 << 10]
+        assert orbit_census(5, 2) == (1, 1 << 10)
 
     def test_classes_match_signature_partition_5_3(self):
         labels = orbit_labels(5, 3)
@@ -182,6 +183,40 @@ class TestReachable:
             a, b = rng.randrange(1 << 10), rng.randrange(1 << 10)
             T1, T2 = _tournament_from_bits(5, a), _tournament_from_bits(5, b)
             assert reachable(T1, T2, 3) == (labels[a] == labels[b])
+
+    def test_past_the_state_cap(self):
+        # 28 edge bits, over every state cap, but only C(8, 3) = 56 p-sets
+        T1, T2 = random_tournament(8, 1), random_tournament(8, 2)
+        assert reachable(T1, T2, 3) == tournaments_equivalent(T1, T2, 3)
+
+    def test_agrees_with_decider_at_n8_to_12(self):
+        import random
+
+        rng = random.Random(28)
+        hits = 0
+        for trial in range(60):
+            n, p = rng.randint(8, 12), rng.randint(3, 5)
+            T1 = random_tournament(n, trial)
+            if trial % 2:
+                T2 = random_tournament(n, 1000 + trial)
+            else:  # a few p-set inversions away, so always reachable
+                T2 = T1
+                for _ in range(rng.randint(0, 4)):
+                    T2 = invert(T2, rng.sample(range(n), p))
+            got = reachable(T1, T2, p)
+            assert got == tournaments_equivalent(T1, T2, p), (trial, n, p)
+            hits += got
+        assert 30 <= hits < 60
+
+    def test_p_set_limit_and_negative_p(self, monkeypatch):
+        T = random_tournament(10, 4)
+        monkeypatch.setattr(pairspace_mod, "SPAN_WITNESS_LIMIT", 252)  # C(10, 5)
+        assert reachable(T, T, 5)
+        monkeypatch.setattr(pairspace_mod, "SPAN_WITNESS_LIMIT", 251)
+        with pytest.raises(CapacityError, match="C\\(10,5\\)"):
+            reachable(T, T, 5)
+        with pytest.raises(InputError):
+            reachable(T, T, -1)
 
 
 def _tournament_from_bits(n, code):
@@ -219,13 +254,10 @@ def _partitions_equal(a, b):
 
 class TestOrbitCensus:
     def test_6_4_two_classes(self):
-        sizes = orbit_census(6, 4)
-        assert sizes == [1 << 14, 1 << 14]
+        assert orbit_census(6, 4) == (2, 1 << 14)
 
     def test_6_3_thirty_two_classes(self):
-        sizes = orbit_census(6, 3)
-        assert len(sizes) == 32
-        assert all(s == 1 << 10 for s in sizes)
+        assert orbit_census(6, 3) == (32, 1 << 10)
 
 
 class TestSingleInversionDecycles:
@@ -477,16 +509,21 @@ class TestAcyclicKernel:
         assert acyclic_columns(np.zeros((4, 0), dtype=np.uint64)).tolist() == []
 
 
+def _census_of_labels(labels):
+    """(classes, size) of a BFS labelling whose classes all have one size."""
+    sizes = np.bincount(labels)
+    assert (sizes == sizes[0]).all()
+    return sizes.size, int(sizes[0])
+
+
 class TestCensusBySpanRank:
     @pytest.mark.parametrize("n, p", [(5, 3), (6, 3), (6, 4), (7, 5)])
     def test_matches_bfs_labels_on_c1_grids(self, n, p):
-        sizes = np.bincount(orbit_labels(n, p))
-        assert orbit_census(n, p) == sorted(sizes.tolist(), reverse=True)
+        assert orbit_census(n, p) == _census_of_labels(orbit_labels(n, p))
 
     @pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (4, 0), (4, 1), (4, 4), (4, 6), (5, 2)])
     def test_degenerate_sizes(self, n, p):
-        sizes = np.bincount(orbit_labels(n, p))
-        assert orbit_census(n, p) == sorted(sizes.tolist(), reverse=True)
+        assert orbit_census(n, p) == _census_of_labels(orbit_labels(n, p))
 
     def test_over_cap_refused(self):
         with pytest.raises(CapacityError):
@@ -499,9 +536,11 @@ class TestCensusBySpanRank:
         spec.loader.exec_module(demo)
         assert demo.main() == 0
         # one class too many on a single grid fails the script
-        monkeypatch.setattr(
-            demo, "orbit_census", lambda n, p: orbit_census(n, p) + ([1] if p == 4 else [])
-        )
+        def one_class_more(n, p):
+            classes, size = orbit_census(n, p)
+            return classes + (p == 4), size
+
+        monkeypatch.setattr(demo, "orbit_census", one_class_more)
         assert demo.main() == 1
         assert "n=6 p=4: census differs" in capsys.readouterr().err
 

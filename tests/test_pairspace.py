@@ -21,6 +21,7 @@ from invlab.pairspace import (
     minimize_family,
     pair_count,
     pair_index,
+    p_sets,
     parity_signature,
     signatures_equal,
     span_member,
@@ -254,6 +255,22 @@ class TestSpanMembership:
                         acc ^= encode_set(X, n)
                     assert acc == u
                     assert all(len(X) == p for X in fam.sets)
+
+    def test_p_sets_lexicographic_with_indicators(self):
+        sets = p_sets(6, 3)
+        assert list(sets) == list(itertools.combinations(range(6), 3))
+        assert all(u == encode_set(X, 6) for X, u in sets.items())
+        assert p_sets(4, 0) == {(): 0}
+        assert p_sets(3, 5) == {}
+        for n, p in [(-1, 2), (4, -1)]:
+            with pytest.raises(InputError):
+                p_sets(n, p)
+
+    def test_p_sets_limit(self, monkeypatch):
+        monkeypatch.setattr(pairspace_mod, "SPAN_WITNESS_LIMIT", 70)
+        assert len(p_sets(8, 4)) == 70
+        with pytest.raises(CapacityError, match="C\\(9,4\\)"):
+            p_sets(9, 4)
 
     def test_witness_capacity(self, monkeypatch):
         monkeypatch.setattr(pairspace_mod, "SPAN_WITNESS_LIMIT", 1000)

@@ -1,12 +1,14 @@
 """The graph primitives, the graph reader, the kernel step, family
-minimization and the greedy sweep against their earlier forms.
+minimization, the greedy sweep and tournament reachability against their
+earlier forms.
 
 Each ``_reference_*`` below is the straightforward loop that the library's
 bit-matrix, bit-surgery, arc-count, one-pass, out-degree, pair-bit-table and
 highest-bit-pivot versions replaced, kept verbatim apart from calling the
-other references and taking pair vectors as plain ints.  The library must
-return equal values: the same FasResult, graph, StepOutcome, KernelResult,
-minimized family, span witness and GreedyReduction, and the same errors.
+other references and taking pair vectors as plain ints; reachability kept
+its state-space route.  The library must return equal values: the same
+FasResult, graph, StepOutcome, KernelResult, minimized family, span witness,
+GreedyReduction and reachability verdict, and the same errors.
 """
 
 import heapq
@@ -58,12 +60,15 @@ from invlab.kernel import (
     delvertex_step,
     kernelize,
 )
+from invlab.oracle import reachable, state_space
 from invlab.pairspace import (
     SPAN_WITNESS_LIMIT,
+    _reduce,
     encode_set,
     minimize_family,
     pair_count,
     pair_index,
+    span_basis,
     span_witness_bruteforce,
 )
 from invlab.serialize import graph_from_dict, graph_to_dict
@@ -351,6 +356,20 @@ def _reference_span_witness(u, p, n):
     return witness
 
 
+def _reference_reachable(T1, T2, p, cap_bits=None):
+    if T1.n != T2.n:
+        raise InputError("tournaments must share a vertex set")
+    if not is_tournament(T1) or not is_tournament(T2):
+        raise InputError("both inputs must be tournaments")
+    space = state_space(T1, p, EXACT, cap_bits)
+    # complete underlying graph: lexicographic edge order below mirrors arcs
+    target = 0
+    for i, (u, v) in enumerate(space.edges):
+        if T1.has_arc(u, v) != T2.has_arc(u, v):
+            target |= 1 << i
+    return not _reduce(target, 0, span_basis(space.moves))[0]
+
+
 def _reference_greedy_reduce(D, p, ordering=None):
     if p < 2:
         raise InputError("p must be at least 2")
@@ -447,6 +466,25 @@ def span_targets(draw):
     else:
         u = draw(st.integers(min_value=0, max_value=(1 << pair_count(n)) - 1))
     return u, p, n
+
+
+@st.composite
+def tournament_pairs(draw):
+    """(T1, T2, p) with n <= 7 and p from 0 to n + 1: T2 is T1 itself, T1
+    after a few p-set inversions (so reachable), or any tournament."""
+    T1 = draw(tournaments(min_n=0))
+    n = T1.n
+    p = draw(st.integers(min_value=0, max_value=n + 1))
+    kind = draw(st.sampled_from(["same", "inverted", "any"]))
+    T2 = T1
+    if kind == "inverted" and p <= n:
+        for perm in draw(st.lists(st.permutations(range(n)), max_size=4)):
+            T2 = invert(T2, perm[:p])
+    elif kind == "any":
+        T2 = OrientedGraph.from_arcs(
+            n, [(u, v) if draw(st.booleans()) else (v, u) for u, v in T1.arcs()]
+        )
+    return T1, T2, p
 
 
 class TestGraphPrimitives:
@@ -585,6 +623,14 @@ class TestSpanWitness:
     def test_same_family(self, case):
         u, p, n = case
         assert span_witness_bruteforce(u, p, n) == _reference_span_witness(u, p, n)
+
+
+class TestReachable:
+    @given(tournament_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict(self, case):
+        T1, T2, p = case
+        assert reachable(T1, T2, p) == _reference_reachable(T1, T2, p)
 
 
 @st.composite
